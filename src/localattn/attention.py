@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -35,13 +35,11 @@ from .tensor import (
 __all__ = [
     "AttnConfig",
     "HeadWeights",
-    "ParamCount",
     "band_mask",
     "full_attention",
     "masked_full_attention_oracle",
     "init_head_weights",
     "multi_head",
-    "count_multihead_params",
     "prob_attention",
     "attention_band_mass",
     "band_mass_per_row",
@@ -254,29 +252,6 @@ def multi_head(
     inner = _resolve_inner(kind, window, seed)
     head_ws = list(zip(weights.w_q, weights.w_k, weights.w_v))
     return _multi_head(EAGER, q, k, v, head_ws, weights.w_out, inner)
-
-
-class ParamCount(NamedTuple):
-    """Two parameter counts for one multi-head layer.
-
-    ``exact`` enumerates the stated matrix shapes:
-    heads*d_head*(2 d_q + d_v) for the projections plus heads*d_head*d_v
-    for the output merge. ``collapsed`` is the commonly quoted closed form
-    d_head*(2 d_q + (heads+1) d_v), which folds the head count into the
-    value terms; the two agree at heads=1 and diverge otherwise, so both
-    are reported rather than silently picking one.
-    """
-
-    exact: int
-    collapsed: int
-
-
-def count_multihead_params(cfg: AttnConfig) -> ParamCount:
-    exact = cfg.heads * cfg.d_head * (2 * cfg.d_q + cfg.d_v) + (
-        cfg.heads * cfg.d_head * cfg.d_v
-    )
-    collapsed = cfg.d_head * (2 * cfg.d_q + (cfg.heads + 1) * cfg.d_v)
-    return ParamCount(exact, collapsed)
 
 
 def sample_count(n: int, log_base: float = 2.0) -> int:

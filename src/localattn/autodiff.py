@@ -153,6 +153,22 @@ class Graph:
 
         return self._record("gather_rows_padded", (m,), out, vjp)
 
+    def row_blocks(self, m: Node, window: int, width: int) -> Node:
+        out = T.row_blocks(m.value, window, width)
+        n, d = m.value.shape
+        s, lead = out.shape[0], width - window
+
+        def vjp(g):
+            # overlap-add: each block's last `window` rows are its own source
+            # rows, its first `lead` rows the previous block's last ones
+            gm = np.zeros((n, d), dtype=g.dtype)
+            gm[: s * window] = g[:, lead:].reshape(s * window, d)
+            prev = gm[: (s - 1) * window].reshape(s - 1, window, d)
+            prev[:, window - lead :] += g[1:, :lead]
+            return (gm,)
+
+        return self._record("row_blocks", (m,), out, vjp)
+
     def concat_axis0(self, blocks: Sequence[Node]) -> Node:
         out = T.concat_axis0([b.value for b in blocks])
         row_counts = [b.value.shape[0] for b in blocks]

@@ -11,11 +11,15 @@ flat and blocked layouts:
     block r = i // window, offset i1 = i mod window
     key column j lands in block r at slot j1 = j - (r-1)*window - 1
 
-Block 0's key slab starts before the sequence; those rows are zero-filled
-and the block mask shuts them off (without that guard the zero rows would
-win softmax weight, which is the seeded fault used by the masking tests).
-Rows past s*window (when window does not divide n) run through one direct
-masked slab against the last window-1+remainder keys.
+Both layouts come from the ``row_blocks`` op: queries are its width-window
+blocks, keys and values its width-(2*window-1) blocks, a strided view over
+one zero-padded copy in which neighbouring key slabs share window-1 rows
+(the "sliding chunks" layout of Longformer). Block 0's key slab starts
+before the sequence; those rows are zero and the block mask shuts them
+off (without that guard the zero rows would win softmax weight, which is
+the seeded fault used by the masking tests). Rows past s*window (when
+window does not divide n) run through one direct masked slab against the
+last window-1+remainder keys.
 
 All heavy math goes through the ``ops`` backend, so the same kernel runs
 eagerly or on the autodiff tape.
@@ -32,14 +36,7 @@ from .tensor import EAGER, DimensionError, Tensor, op_counter
 
 __all__ = [
     "LamCounters",
-    "BlockedAttn",
-    "index_map",
-    "key_block_offset",
-    "split_queries",
-    "split_keys",
-    "split_values",
     "local_mask",
-    "build_blocked",
     "lam_forward",
     "default_window",
 ]
@@ -73,68 +70,9 @@ class LamCounters:
         self._live = 0
 
 
-def index_map(i: int, window: int) -> tuple[int, int]:
-    """Flat row i -> (block, offset): i = block*window + offset."""
-    if i < 0:
-        raise ValueError(f"row index must be >= 0, got {i}")
-    return i // window, i % window
-
-
-def key_block_offset(j: int, block: int, window: int) -> int:
-    """Flat key column j -> slot within block's key slab (0 .. 2*window-2)."""
-    return j - (block - 1) * window - 1
-
-
 def _check_window(n: int, window: int) -> None:
     if not 1 <= window <= n:
         raise ValueError(f"window must be in [1, {n}], got {window}")
-
-
-def _key_slab_indices(s: int, window: int) -> list[int]:
-    """Source rows for every block's key slab, block-major; may go negative."""
-    return [
-        (r - 1) * window + 1 + j1
-        for r in range(s)
-        for j1 in range(2 * window - 1)
-    ]
-
-
-def _split_queries(ops, q, n: int, window: int):
-    s = n // window
-    flat = ops.gather_rows_padded(q, range(s * window), 0.0)
-    return ops.reshape(flat, (s, window, _width(ops, q)))
-
-
-def _width(ops, x) -> int:
-    return ops.value(x).shape[-1]
-
-
-def _split_slab(ops, m, n: int, window: int):
-    s = n // window
-    flat = ops.gather_rows_padded(m, _key_slab_indices(s, window), 0.0)
-    return ops.reshape(flat, (s, 2 * window - 1, _width(ops, m)))
-
-
-def split_queries(q: Tensor, window: int) -> Tensor:
-    """Rows 0 .. s*window-1 of q as an s x window x d_q block tensor."""
-    _check_window(q.shape[0], window)
-    return _split_queries(EAGER, q, q.shape[0], window)
-
-
-def split_keys(k: Tensor, window: int) -> Tensor:
-    """Per block r, key rows (r-1)*window+1 .. (r+1)*window-1, zero-padded.
-
-    Only block 0 reaches before the sequence start; its first window-1
-    rows are zero-filled and must stay masked.
-    """
-    _check_window(k.shape[0], window)
-    return _split_slab(EAGER, k, k.shape[0], window)
-
-
-def split_values(v: Tensor, window: int) -> Tensor:
-    """Value rows blocked exactly like :func:`split_keys` (zero padding)."""
-    _check_window(v.shape[0], window)
-    return _split_slab(EAGER, v, v.shape[0], window)
 
 
 def local_mask(s: int, window: int, pad_guard: bool = True) -> Tensor:
@@ -157,40 +95,6 @@ def local_mask(s: int, window: int, pad_guard: bool = True) -> Tensor:
     return Tensor._wrap(out)
 
 
-@dataclass(frozen=True)
-class BlockedAttn:
-    """The block decomposition of one (q, k, v, window) problem.
-
-    ``q_blocks`` is s x window x d_q; ``k_blocks`` / ``v_blocks`` are
-    s x (2*window-1) x d; ``mask`` is s x window x (2*window-1);
-    ``remainder_rows`` counts trailing rows (< window) the blocks skip.
-    """
-
-    num_blocks: int
-    window: int
-    q_blocks: Tensor
-    k_blocks: Tensor
-    v_blocks: Tensor
-    mask: Tensor
-    remainder_rows: int
-
-
-def build_blocked(q: Tensor, k: Tensor, v: Tensor, window: int) -> BlockedAttn:
-    """Materialize the decomposition (eager, mainly for inspection/tests)."""
-    n = q.shape[0]
-    _check_window(n, window)
-    s = n // window
-    return BlockedAttn(
-        num_blocks=s,
-        window=window,
-        q_blocks=split_queries(q, window),
-        k_blocks=split_keys(k, window),
-        v_blocks=split_values(v, window),
-        mask=local_mask(s, window),
-        remainder_rows=n - s * window,
-    )
-
-
 def _remainder_mask(rem: int, window: int) -> Tensor:
     """Band mask for the trailing rows against their key slab.
 
@@ -208,14 +112,14 @@ def _lam_attention(ops, q, k, v, window: int, counters: LamCounters | None = Non
     """Backend-generic banded attention; see module docstring for layout."""
     n, d_q = ops.value(q).shape
     _check_window(n, window)
-    d_v = _width(ops, v)
+    d_v = ops.value(v).shape[-1]
     s = n // window
     rem = n - s * window
     inv_scale = 1.0 / math.sqrt(d_q)
 
-    q_blocks = _split_queries(ops, q, n, window)
-    k_blocks = _split_slab(ops, k, n, window)
-    v_blocks = _split_slab(ops, v, n, window)
+    q_blocks = ops.row_blocks(q, window, window)
+    k_blocks = ops.row_blocks(k, window, 2 * window - 1)
+    v_blocks = ops.row_blocks(v, window, 2 * window - 1)
     mask = ops.constant(local_mask(s, window, pad_guard))
 
     slab_elements = s * window * (2 * window - 1)

@@ -27,6 +27,8 @@ from __future__ import annotations
 import json
 import math
 import time
+import zipfile
+import zlib
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -44,11 +46,11 @@ __all__ = [
     "TrainDivergenceError",
     "positional_encoding",
     "count_parameters",
-    "parameter_breakdown",
     "train",
     "evaluate",
     "save_checkpoint",
     "load_checkpoint",
+    "CheckpointError",
     "CHECKPOINT_VERSION",
 ]
 
@@ -260,15 +262,6 @@ def count_parameters(model: ForecastModel) -> int:
     return sum(t.size for t in model.params.values())
 
 
-def parameter_breakdown(model: ForecastModel) -> dict[str, int]:
-    """Parameter totals grouped by top-level block (embed, enc0, ..., time)."""
-    out: dict[str, int] = {}
-    for name, t in model.params.items():
-        block = name.split(".")[0]
-        out[block] = out.get(block, 0) + t.size
-    return out
-
-
 # -- training -------------------------------------------------------------
 
 
@@ -458,33 +451,56 @@ def save_checkpoint(
     return path
 
 
+class CheckpointError(ValueError):
+    """A checkpoint file is unreadable, incomplete or inconsistent."""
+
+
 def load_checkpoint(path: str):
     """Rebuild (model, scaler, feature_names) from :func:`save_checkpoint`.
 
     Scaler and feature_names are None when the checkpoint carries none.
-    Raises on version or shape mismatches.
+    Raises :class:`CheckpointError` for a file that is not a complete
+    archive, a missing manifest entry or array, an invalid config (an
+    unknown key included), a version, name or shape mismatch, or a
+    non-finite value.
     """
-    with np.load(path, allow_pickle=False) as payload:
-        manifest = json.loads(str(payload["__manifest__"][()]))
-        if manifest["version"] != CHECKPOINT_VERSION:
-            raise ValueError(
-                f"checkpoint version {manifest['version']} != {CHECKPOINT_VERSION}"
+    try:
+        with np.load(path, allow_pickle=False) as payload:
+            arrays = {key: payload[key] for key in payload.files}
+        manifest = json.loads(str(arrays.pop("__manifest__")[()]))
+        version, config, names = (manifest[key] for key in ("version", "config", "param_names"))
+        stats = manifest.get("scaler")
+        if stats is not None:
+            stats = [np.asarray(stats[key], dtype=np.float64) for key in ("mean", "std")]
+    except KeyError as exc:
+        raise CheckpointError(f"{path} has no {exc}") from exc
+    except (OSError, EOFError, TypeError, ValueError, zipfile.BadZipFile, zlib.error) as exc:
+        raise CheckpointError(f"{path} is not a readable checkpoint: {exc}") from exc
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(f"checkpoint version {version} != {CHECKPOINT_VERSION}")
+    try:
+        model = ForecastModel(ModelConfig(**config))
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"checkpoint config is invalid: {exc}") from exc
+    if names != list(model.params):
+        raise CheckpointError("checkpoint parameter names do not match the config")
+    for name, param in model.params.items():
+        if name not in arrays:
+            raise CheckpointError(f"{path} has no array for {name}")
+        arr = arrays[name]
+        if arr.shape != param.shape:
+            raise CheckpointError(
+                f"checkpoint shape {arr.shape} != expected {param.shape} for {name}"
             )
-        model = ForecastModel(ModelConfig(**manifest["config"]))
-        if manifest["param_names"] != list(model.params):
-            raise ValueError("checkpoint parameter names do not match the config")
-        for name in model.params:
-            arr = payload[name]
-            if arr.shape != model.params[name].shape:
-                raise ValueError(
-                    f"checkpoint shape {arr.shape} != expected "
-                    f"{model.params[name].shape} for {name}"
-                )
-            model.params[name] = Tensor._wrap(arr)
+        if arr.dtype != np.float64 or not np.isfinite(arr).all():
+            raise CheckpointError(f"parameter {name} is not finite float64")
+        model.params[name] = Tensor(arr)
     scaler = None
-    if "scaler" in manifest:
-        scaler = Scaler(
-            mean=np.asarray(manifest["scaler"]["mean"], dtype=np.float64),
-            std=np.asarray(manifest["scaler"]["std"], dtype=np.float64),
-        )
+    if stats is not None:
+        mean, std = stats
+        if not (mean.shape == std.shape == (model.config.d_features,)
+                and np.isfinite(mean).all() and np.isfinite(std).all() and (std > 0).all()):
+            raise CheckpointError("checkpoint scaler needs one finite mean and positive "
+                                  "deviation per feature")
+        scaler = Scaler(mean=mean, std=std)
     return model, scaler, manifest.get("feature_names")

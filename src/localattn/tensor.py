@@ -1,10 +1,9 @@
 """Dense tensors of rank 0-3 and the numeric kernels everything else composes.
 
-Values are float64 by default (float32 available as a speed option). The
-masking sentinel is the IEEE -inf: exp(-inf) == 0, so masked softmax entries
-come out as exact zeros rather than small positives. -inf is only legal in
-tensors built as masks or pre-softmax scores; NaN is never legal and is
-rejected at construction.
+Values are always float64. The masking sentinel is the IEEE -inf:
+exp(-inf) == 0, so masked softmax entries come out as exact zeros rather
+than small positives. -inf is only legal in tensors built as masks or
+pre-softmax scores; NaN is never legal and is rejected at construction.
 
 All public operations are pure: inputs are never mutated. Every batched
 matrix product runs through :func:`matmul_batched`, which counts dot
@@ -29,6 +28,7 @@ __all__ = [
     "matmul_batched",
     "softmax_lastdim",
     "gather_rows_padded",
+    "row_blocks",
     "concat_axis0",
     "concat_lastdim",
     "affine",
@@ -59,10 +59,8 @@ class Tensor:
 
     __slots__ = ("data",)
 
-    def __init__(self, data, dtype=None, allow_neg_inf: bool = False):
-        arr = np.asarray(data, dtype=dtype if dtype is not None else None)
-        if arr.dtype not in (np.float64, np.float32):
-            arr = arr.astype(np.float64)
+    def __init__(self, data, allow_neg_inf: bool = False):
+        arr = np.asarray(data, dtype=np.float64)
         if arr.ndim > 3:
             raise DimensionError(f"rank {arr.ndim} > 3 not supported (shape {arr.shape})")
         if np.isnan(arr).any():
@@ -84,12 +82,12 @@ class Tensor:
         return t
 
     @classmethod
-    def zeros(cls, shape: Sequence[int], dtype=np.float64) -> "Tensor":
-        return cls._wrap(np.zeros(tuple(shape), dtype=dtype))
+    def zeros(cls, shape: Sequence[int]) -> "Tensor":
+        return cls._wrap(np.zeros(tuple(shape)))
 
     @classmethod
-    def full(cls, shape: Sequence[int], value: float, dtype=np.float64) -> "Tensor":
-        return cls(np.full(tuple(shape), value, dtype=dtype), allow_neg_inf=True)
+    def full(cls, shape: Sequence[int], value: float) -> "Tensor":
+        return cls(np.full(tuple(shape), value), allow_neg_inf=True)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -213,6 +211,28 @@ def gather_rows_padded(m: Tensor, indices: Sequence[int], pad: float) -> Tensor:
     return Tensor._wrap(out)
 
 
+def row_blocks(m: Tensor, window: int, width: int) -> Tensor:
+    """Overlapping blocks of rows of a rank-2 tensor, shape (s, width, d).
+
+    Block r < s = n // window holds rows r*window-(width-window) ..
+    r*window+window-1: zeros for rows before the start, and rows past
+    s*window are never reached. The result is a read-only strided view of
+    one zero-padded copy, so neighbouring blocks share their overlap.
+    """
+    if m.ndim != 2:
+        raise DimensionError(f"row_blocks source must be rank 2, got shape {m.shape}")
+    n, d = m.shape
+    if not 1 <= window <= n or not window <= width < 2 * window:
+        raise ValueError(f"need 1 <= window <= {n} and window <= width < 2*window, "
+                         f"got window={window}, width={width}")
+    s, lead = n // window, width - window
+    padded = np.zeros((lead + s * window, d))
+    padded[lead:] = m.data[: s * window]
+    row, col = padded.strides
+    return Tensor._wrap(np.lib.stride_tricks.as_strided(
+        padded, (s, width, d), (window * row, row, col), writeable=False))
+
+
 def concat_axis0(blocks: Sequence[Tensor]) -> Tensor:
     """Stack rank-2 blocks along rows, preserving block order."""
     if not blocks:
@@ -311,6 +331,9 @@ class EagerOps:
 
     def gather_rows_padded(self, m, indices, pad):
         return gather_rows_padded(m, indices, pad)
+
+    def row_blocks(self, m, window, width):
+        return row_blocks(m, window, width)
 
     def concat_axis0(self, blocks):
         return concat_axis0(blocks)

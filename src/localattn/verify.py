@@ -18,7 +18,7 @@ from .attention import band_mask, full_attention, masked_full_attention_oracle, 
 from .attention import init_head_weights, AttnConfig, permute_rows
 from .autodiff import Graph, finite_diff_grad
 from .data import Scaler, WindowedDataset
-from .lam import LamCounters, _lam_attention, local_mask, split_keys, split_queries
+from .lam import LamCounters, _lam_attention, local_mask
 from .model import ForecastModel, ModelConfig
 from .tensor import EAGER, Tensor
 
@@ -197,8 +197,8 @@ def suite_masking(trials: int = 25, seed: int = 0, tol: float = 1e-12) -> SuiteR
 
         s = n // window
         if s >= 1:
-            t_q = split_queries(q, window)
-            t_k = split_keys(k, window)
+            t_q = EAGER.row_blocks(q, window, window)
+            t_k = EAGER.row_blocks(k, window, 2 * window - 1)
             t_m = local_mask(s, window)
             t_a = EAGER.matmul_batched(t_q, EAGER.transpose_last2(t_k))
             t_s = EAGER.softmax_lastdim(EAGER.scale(EAGER.add(t_a, t_m), inv_sqrt))
@@ -290,6 +290,7 @@ def _op_cases(rng):
     sm_in = Tensor._wrap(rng.normal(size=(3, 3)))
     idx = np.array([2, 0, 2, -1])
     gather_src = Tensor._wrap(rng.normal(size=(3, 4)))
+    block_src = Tensor._wrap(rng.normal(size=(7, 2)))  # window 3 leaves one row over
     cat_a = Tensor._wrap(rng.normal(size=(2, 3)))
     cat_b = Tensor._wrap(rng.normal(size=(4, 3)))
 
@@ -329,6 +330,8 @@ def _op_cases(rng):
             gather_src,
             lambda g, x: loss(g, g.gather_rows_padded(x, idx, 0.0)),
         ),
+        ("row-blocks", block_src, lambda g, x: loss(g, g.row_blocks(x, 3, 3))),
+        ("row-blocks-slab", block_src, lambda g, x: loss(g, g.row_blocks(x, 3, 5))),
         (
             "concat-rows",
             cat_a,

@@ -11,7 +11,6 @@ from localattn.attention import (
     attention_band_mass,
     band_mask,
     band_mass_per_row,
-    count_multihead_params,
     full_attention,
     _full_attention,
     init_head_weights,
@@ -264,31 +263,6 @@ class TestMultiHead:
         z = Tensor.zeros((4, 2))
         with pytest.raises(ValueError, match="window"):
             multi_head(z, z, z, w, kind="lam")
-
-
-class TestParamCount:
-    def test_unit_case_enumerates_four_matrices(self):
-        cfg = AttnConfig(n=2, d_q=1, d_v=1, window=1, heads=1, d_head=1)
-        got = count_multihead_params(cfg)
-        assert got.exact == 4
-        # at heads=1 the collapsed form folds to the same total
-        assert got.collapsed == 4
-
-    def test_counts_agree_iff_single_head(self):
-        one = count_multihead_params(
-            AttnConfig(n=2, d_q=5, d_v=7, window=1, heads=1, d_head=3)
-        )
-        assert one.exact == one.collapsed == 3 * (2 * 5 + 2 * 7)
-        many = count_multihead_params(
-            AttnConfig(n=2, d_q=5, d_v=7, window=1, heads=3, d_head=2)
-        )
-        assert many.exact != many.collapsed
-
-    def test_large_case(self):
-        cfg = AttnConfig(n=2, d_q=64, d_v=64, window=1, heads=8, d_head=8)
-        got = count_multihead_params(cfg)
-        assert got.exact == 8 * 8 * (128 + 64) + 8 * 8 * 64 == 16384
-        assert got.collapsed == 8 * (128 + 9 * 64) == 5632
 
 
 class TestProbAttention:

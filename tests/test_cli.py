@@ -399,3 +399,23 @@ class TestMainPlumbing:
         with pytest.raises(SystemExit) as info:
             main(["paint"])
         assert info.value.code == 2
+
+    @pytest.mark.parametrize("command", ["bandmass", "forecast"])
+    @pytest.mark.parametrize("corrupt", ["truncated", "nan-parameter"])
+    def test_corrupt_checkpoint_exit_2(self, tmp_path, capsys, command, corrupt):
+        ckpt, data, _ = forecast_fixture(tmp_path)
+        if corrupt == "truncated":
+            raw = (tmp_path / "model.npz").read_bytes()
+            (tmp_path / "model.npz").write_bytes(raw[: len(raw) // 2])
+        else:
+            with np.load(ckpt, allow_pickle=False) as payload:
+                arrays = {key: payload[key].copy() for key in payload.files}
+            arrays["time.w"][0, 0] = np.nan
+            np.savez(ckpt, **arrays)
+        argv = ["--checkpoint", ckpt, "--out", str(tmp_path / "out.csv")]
+        if command == "forecast":
+            argv += ["--input", data]
+        assert main([command, *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "nan" not in captured.out

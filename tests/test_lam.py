@@ -1,26 +1,15 @@
-"""Blocked banded attention: index maps, decomposition, kernel, counters."""
+"""Blocked banded attention: block layout, mask, kernel, counters."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from localattn.attention import masked_full_attention_oracle
 from localattn.autodiff import Graph
-from localattn.lam import (
-    BlockedAttn,
-    LamCounters,
-    _lam_attention,
-    build_blocked,
-    default_window,
-    index_map,
-    key_block_offset,
-    lam_forward,
-    local_mask,
-    split_keys,
-    split_queries,
-    split_values,
-)
-from localattn.tensor import DimensionError, Tensor
+from localattn.lam import LamCounters, _lam_attention, default_window, lam_forward, local_mask
+from localattn.tensor import DimensionError, Tensor, row_blocks
 
 NEG_INF = float("-inf")
 
@@ -33,42 +22,10 @@ def random_qkv(rng, n, d_q, d_v):
     )
 
 
-class TestIndexMaps:
-    def test_row3_window2(self):
-        assert index_map(3, 2) == (1, 1)
-
-    def test_row0_any_window(self):
-        for window in (1, 2, 5):
-            assert index_map(0, window) == (0, 0)
-
-    def test_round_trip(self):
-        for window in (1, 2, 3, 5):
-            for i in range(20):
-                block, offset = index_map(i, window)
-                assert block * window + offset == i
-                assert 0 <= offset < window
-
-    def test_key_offset_example(self):
-        # row 3 sits in block 1; key column 2 lands at slot 2 - 0*2 - 1 = 1
-        assert key_block_offset(2, 1, 2) == 1
-
-    def test_key_offset_covers_band(self):
-        window = 3
-        for i in range(3, 12):
-            block, offset = index_map(i, window)
-            for j in range(i - window + 1, i + 1):
-                slot = key_block_offset(j, block, window)
-                assert 0 <= slot <= 2 * window - 2
-
-    def test_negative_row_rejected(self):
-        with pytest.raises(ValueError):
-            index_map(-1, 2)
-
-
 class TestSplits:
     def test_queries_n6_w2_three_blocks(self):
         q = Tensor(np.arange(12, dtype=np.float64).reshape(6, 2))
-        out = split_queries(q, 2)
+        out = row_blocks(q, 2, 2)
         assert out.shape == (3, 2, 2)
         for r in range(3):
             assert_array_equal(out.data[r], q.data[2 * r : 2 * r + 2])
@@ -76,31 +33,31 @@ class TestSplits:
     def test_queries_window_n_single_block(self):
         rng = np.random.default_rng(42)
         q = Tensor(rng.standard_normal((4, 3)))
-        out = split_queries(q, 4)
+        out = row_blocks(q, 4, 4)
         assert out.shape == (1, 4, 3)
         assert_array_equal(out.data[0], q.data)
 
     def test_queries_drop_remainder_rows(self):
         q = Tensor(np.arange(10, dtype=np.float64).reshape(5, 2))
-        out = split_queries(q, 2)
+        out = row_blocks(q, 2, 2)
         assert out.shape == (2, 2, 2)
         assert_array_equal(out.data.reshape(4, 2), q.data[:4])
 
     def test_keys_interior_block_rows(self):
         k = Tensor(np.arange(6, dtype=np.float64).reshape(6, 1))
-        out = split_keys(k, 2)
+        out = row_blocks(k, 2, 3)
         assert out.shape == (3, 3, 1)
         assert_array_equal(out.data[1].ravel(), [1, 2, 3])
 
     def test_keys_block0_zero_padded(self):
         k = Tensor(np.arange(1, 7, dtype=np.float64).reshape(6, 1))
-        out = split_keys(k, 2)
+        out = row_blocks(k, 2, 3)
         assert_array_equal(out.data[0].ravel(), [0, 1, 2])
 
     def test_keys_window_n_padding_prefix(self):
         rng = np.random.default_rng(1)
         k = Tensor(rng.standard_normal((4, 2)))
-        out = split_keys(k, 4)
+        out = row_blocks(k, 4, 7)
         assert out.shape == (1, 7, 2)
         assert_array_equal(out.data[0, :3], np.zeros((3, 2)))
         assert_array_equal(out.data[0, 3:], k.data)
@@ -108,9 +65,61 @@ class TestSplits:
     def test_values_split_same_layout(self):
         rng = np.random.default_rng(2)
         v = Tensor(rng.standard_normal((6, 3)))
-        kv = split_keys(Tensor(v.data.copy()), 2)
-        vv = split_values(v, 2)
+        kv = row_blocks(Tensor(v.data.copy()), 2, 3)
+        vv = row_blocks(v, 2, 3)
         assert_array_equal(kv.data, vv.data)
+
+
+def row_blocks_loop(m, window, width, g):
+    """row_blocks spelled out, and its gradient for upstream gradient g.
+
+    Slot c of block r holds row r*window-(width-window)+c, or zeros before
+    row 0; the gradient sums every slot's g back onto the row it holds.
+    """
+    n, d = m.shape
+    out, grad = np.zeros((n // window, width, d)), np.zeros((n, d))
+    for r in range(n // window):
+        for c in range(width):
+            i = r * window - (width - window) + c
+            if i >= 0:
+                out[r, c] = m[i]
+                grad[i] += g[r, c]
+    return out, grad
+
+
+class TestProperties:
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_row_blocks_matches_loop(self, data):
+        n = data.draw(st.integers(1, 40), label="n")
+        window = data.draw(st.integers(1, n), label="window")
+        width = data.draw(st.integers(window, 2 * window - 1), label="width")
+        d = data.draw(st.integers(1, 4), label="d")
+        rng = np.random.default_rng(n * 1000 + window)
+        m = rng.standard_normal((n, d))
+        g = rng.standard_normal((n // window, width, d))
+        want, want_grad = row_blocks_loop(m, window, width, g)
+        out = row_blocks(Tensor(m), window, width)
+        assert_array_equal(out.data, want)
+        assert not out.data.flags.writeable
+
+        graph = Graph()
+        node = graph.row_blocks(graph.parameter(Tensor(m)), window, width)
+        (grad,) = node._vjp(g)
+        assert_allclose(grad, want_grad, rtol=0, atol=1e-12)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_lam_forward_matches_oracle(self, data):
+        n = data.draw(st.integers(1, 64), label="n")
+        window = data.draw(st.integers(1, n), label="window")
+        d_q = data.draw(st.integers(1, 8), label="d_q")
+        d_v = data.draw(st.integers(1, 8), label="d_v")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        q, k, v = random_qkv(np.random.default_rng(seed), n, d_q, d_v)
+        got = lam_forward(q, k, v, window)
+        want = masked_full_attention_oracle(q, k, v, window)
+        assert np.max(np.abs(got.data - want.data)) <= 1e-10
 
 
 class TestLocalMask:
@@ -138,28 +147,6 @@ class TestLocalMask:
         m = local_mask(2, 4).data
         # interior rows keep exactly window entries
         assert (np.isfinite(m[1]).sum(axis=1) == 4).all()
-
-
-class TestBuildBlocked:
-    def test_fields_and_shapes(self):
-        rng = np.random.default_rng(3)
-        q, k, v = random_qkv(rng, 7, 3, 2)
-        b = build_blocked(q, k, v, 2)
-        assert isinstance(b, BlockedAttn)
-        assert b.num_blocks == 3
-        assert b.window == 2
-        assert b.remainder_rows == 1
-        assert b.q_blocks.shape == (3, 2, 3)
-        assert b.k_blocks.shape == (3, 3, 3)
-        assert b.v_blocks.shape == (3, 3, 2)
-        assert b.mask.shape == (3, 2, 3)
-
-    def test_padded_rows_are_zero(self):
-        rng = np.random.default_rng(4)
-        q, k, v = random_qkv(rng, 8, 2, 2)
-        b = build_blocked(q, k, v, 4)
-        assert_array_equal(b.k_blocks.data[0, :3], np.zeros((3, 2)))
-        assert_array_equal(b.v_blocks.data[0, :3], np.zeros((3, 2)))
 
 
 class TestKernel:

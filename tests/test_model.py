@@ -10,13 +10,13 @@ from localattn.attention import _full_attention, band_mask
 from localattn.data import Scaler, WindowedDataset
 from localattn.model import (
     CHECKPOINT_VERSION,
+    CheckpointError,
     ForecastModel,
     ModelConfig,
     TrainDivergenceError,
     count_parameters,
     evaluate,
     load_checkpoint,
-    parameter_breakdown,
     positional_encoding,
     save_checkpoint,
     train,
@@ -283,22 +283,6 @@ class TestKernelInterchangeability:
 
 
 class TestParameterCounting:
-    def test_embed_block_is_affine_count(self):
-        # a 2 -> 2 affine with bias holds 2*2 + 2 = 6 scalars
-        model = ForecastModel(
-            ModelConfig(d_features=2, n=4, m=2, d_model=2, num_layers=1, heads=1)
-        )
-        assert parameter_breakdown(model)["embed"] == 6
-
-    def test_time_block_is_n_by_m(self):
-        model = ForecastModel(tiny_config(n=8, m=2))
-        assert parameter_breakdown(model)["time"] == 16
-
-    def test_total_matches_breakdown(self):
-        model = ForecastModel(tiny_config(num_layers=2))
-        breakdown = parameter_breakdown(model)
-        assert count_parameters(model) == sum(breakdown.values())
-
     def test_doubling_layers_adds_constant_per_layer_cost(self):
         counts = [
             count_parameters(ForecastModel(tiny_config(num_layers=depth)))
@@ -308,8 +292,9 @@ class TestParameterCounting:
         assert per_layer > 0
         assert counts[2] - counts[1] == per_layer
         model = ForecastModel(tiny_config(num_layers=2))
-        breakdown = parameter_breakdown(model)
-        assert per_layer == breakdown["enc1"] + breakdown["dec1"]
+        layer1 = sum(t.size for name, t in model.params.items()
+                     if name.split(".")[0] in ("enc1", "dec1"))
+        assert per_layer == layer1
 
 
 class TestTrain:
@@ -405,6 +390,73 @@ def rewrite_manifest(path, mutate):
     np.savez(path, __manifest__=np.array(json.dumps(manifest)), **arrays)
 
 
+def rewrite_bytes(keep):
+    def corrupt(path):
+        with open(path, "rb") as handle:
+            raw = handle.read()
+        with open(path, "wb") as handle:
+            handle.write(keep(raw))
+    return corrupt
+
+
+def rewrite_arrays(mutate):
+    def corrupt(path):
+        with np.load(path, allow_pickle=False) as payload:
+            arrays = {key: payload[key].copy() for key in payload.files}
+        mutate(arrays)
+        np.savez(path, **arrays)
+    return corrupt
+
+
+def poison(value):
+    def mutate(arrays):
+        arrays["time.w"][0, 0] = value
+    return mutate
+
+
+# (corruption, message the CheckpointError must carry), one row per bad input
+CORRUPT_CHECKPOINTS = {
+    "not-a-zip": (rewrite_bytes(lambda raw: b"not a checkpoint"), "not a readable"),
+    "empty": (rewrite_bytes(lambda raw: b""), "not a readable"),
+    "truncated": (rewrite_bytes(lambda raw: raw[: len(raw) // 2]), "not a readable"),
+    "no-manifest": (rewrite_arrays(lambda a: a.pop("__manifest__")), "has no '__manifest__'"),
+    "manifest-not-json": (
+        rewrite_arrays(lambda a: a.update(__manifest__=np.array("{"))), "not a readable"
+    ),
+    "missing-array": (rewrite_arrays(lambda a: a.pop("time.w")), "no array for time.w"),
+    "no-config": (lambda p: rewrite_manifest(p, lambda m: m.pop("config")), "has no 'config'"),
+    "unknown-config-key": (
+        lambda p: rewrite_manifest(p, lambda m: m["config"].update(colour="red")),
+        "config is invalid.*colour",
+    ),
+    "bad-config-value": (
+        lambda p: rewrite_manifest(p, lambda m: m["config"].update(kind="dense")),
+        "config is invalid.*unknown kind",
+    ),
+    "version": (
+        lambda p: rewrite_manifest(p, lambda m: m.update(version=CHECKPOINT_VERSION + 1)),
+        "version",
+    ),
+    "nan-parameter": (rewrite_arrays(poison(np.nan)), "time.w is not finite"),
+    "inf-parameter": (rewrite_arrays(poison(np.inf)), "time.w is not finite"),
+    "text-parameter": (
+        rewrite_arrays(lambda a: a.update({"time.w": a["time.w"].astype(str)})),
+        "time.w is not finite",
+    ),
+    "zero-deviation-scaler": (
+        lambda p: rewrite_manifest(p, lambda m: m["scaler"].update(std=[0.0])),
+        "scaler needs",
+    ),
+    "scaler-not-object": (
+        lambda p: rewrite_manifest(p, lambda m: m.update(scaler=[0.0])), "not a readable"
+    ),
+    "nan-scaler": (
+        lambda p: rewrite_manifest(p, lambda m: m["scaler"].update(mean=[float("nan")])),
+        "scaler needs",
+    ),
+}
+
+
 class TestCheckpoint:
     def test_round_trip_forward_bitwise(self, tmp_path):
         cfg = tiny_config(kind="lam", d_features=2, num_layers=2)
@@ -452,4 +504,15 @@ class TestCheckpoint:
         path = save_checkpoint(ForecastModel(tiny_config()), str(tmp_path / "m.npz"))
         rewrite_manifest(path, lambda m: m["config"].update(num_layers=2))
         with pytest.raises(ValueError, match="names"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("case", sorted(CORRUPT_CHECKPOINTS))
+    def test_corrupt_file_rejected(self, tmp_path, case):
+        corrupt, message = CORRUPT_CHECKPOINTS[case]
+        path = save_checkpoint(
+            ForecastModel(tiny_config()), str(tmp_path / "m.npz"),
+            scaler=Scaler(mean=np.zeros(1), std=np.ones(1)),
+        )
+        corrupt(path)
+        with pytest.raises(CheckpointError, match=message):
             load_checkpoint(path)

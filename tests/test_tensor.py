@@ -57,10 +57,6 @@ class TestTensorConstruction:
         t = Tensor([[1, 2], [3, 4]])
         assert t.dtype == np.float64
 
-    def test_float32_mode(self):
-        t = Tensor([1.0, 2.0], dtype=np.float32)
-        assert t.dtype == np.float32
-
     def test_full_permits_mask_fill(self):
         m = Tensor.full((2, 2), NEG_INF)
         assert np.isneginf(m.data).all()
