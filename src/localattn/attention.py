@@ -27,7 +27,6 @@ from .tensor import (
     Tensor,
     matmul_batched,
     op_counter,
-    softmax_lastdim,
     transpose_last2,
     _softmax_lastdim_inplace,
 )
@@ -147,10 +146,7 @@ def _full_attention(ops, q, k, v, mask: Tensor | None = None):
     """Backend-generic full attention; bitwise equal to :func:`full_attention`."""
     d_q = ops.value(q).shape[1]
     scores = ops.matmul_batched(q, ops.transpose_last2(k))
-    if mask is not None:
-        scores = ops.add(scores, ops.constant(mask))
-    scaled = ops.scale(scores, 1.0 / math.sqrt(d_q))
-    return ops.matmul_batched(ops.softmax_lastdim(scaled), v)
+    return ops.matmul_batched(ops.masked_softmax(scores, mask, 1.0 / math.sqrt(d_q)), v)
 
 
 def masked_full_attention_oracle(q: Tensor, k: Tensor, v: Tensor, window: int) -> Tensor:

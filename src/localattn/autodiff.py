@@ -92,16 +92,16 @@ class Graph:
 
         return self._record("transpose_last2", (a,), out, vjp)
 
-    def softmax_lastdim(self, a: Node) -> Node:
-        out = T.softmax_lastdim(a.value)
+    def masked_softmax(self, scores: Node, mask: Tensor | None, c: float) -> Node:
+        out = T.masked_softmax(scores.value, mask, c)
         y = out.data
 
         def vjp(g):
             # y is exactly 0 at masked inputs, so those entries get zero grad
             inner = np.sum(g * y, axis=-1, keepdims=True)
-            return (y * (g - inner),)
+            return (y * (g - inner) * c,)
 
-        return self._record("softmax_lastdim", (a,), out, vjp)
+        return self._record("masked_softmax", (scores,), out, vjp)
 
     def add(self, a: Node, b: Node) -> Node:
         out = T.add(a.value, b.value)
@@ -110,14 +110,6 @@ class Graph:
             return g, g
 
         return self._record("add", (a, b), out, vjp)
-
-    def scale(self, a: Node, c: float) -> Node:
-        out = T.scale(a.value, c)
-
-        def vjp(g):
-            return (g * c,)
-
-        return self._record("scale", (a,), out, vjp)
 
     def affine(self, x: Node, w: Node, b: Node, alpha: float | None = None) -> Node:
         out = T.affine(x.value, w.value, b.value, alpha)

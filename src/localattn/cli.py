@@ -1,7 +1,8 @@
 """Command-line entry point: verify, bench, train, bandmass, forecast.
 
-Exit codes: 0 success, 1 suite or run failure, 2 usage error. Every
-command is deterministic under a fixed --seed.
+Exit codes: 0 success, 1 suite or run failure (a numerical
+``DegenerateRowError`` included), 2 usage error (any other ``ValueError``).
+Every command is deterministic under a fixed --seed.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .model import (
     save_checkpoint,
     train,
 )
-from .tensor import Tensor, op_counter
+from .tensor import DegenerateRowError, Tensor, op_counter
 from .verify import run_all
 
 __all__ = ["main", "BenchRecord", "bench_records", "parse_config", "BENCH_HEADER"]
@@ -307,6 +308,8 @@ def cmd_train(args) -> int:
         config.update(parse_config(args.config))
     if args.seed is not None:
         config["seed"] = args.seed
+    if config["kind"] not in ("full", "lam"):
+        raise UsageError(f"kind must be full or lam to train, got {config['kind']!r}")
 
     raw = _load_series(args.data, args.samples, args.d_features, config["seed"])
     dataset = standardize_split_window(
@@ -565,9 +568,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except DegenerateRowError as exc:  # numerical: a run failure, not bad input
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

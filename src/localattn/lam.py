@@ -15,11 +15,13 @@ Both layouts come from the ``row_blocks`` op: queries are its width-window
 blocks, keys and values its width-(2*window-1) blocks, a strided view over
 one zero-padded copy in which neighbouring key slabs share window-1 rows
 (the "sliding chunks" layout of Longformer). Block 0's key slab starts
-before the sequence; those rows are zero and the block mask shuts them
+before the sequence; those rows are zero and block 0's mask shuts them
 off (without that guard the zero rows would win softmax weight, which is
-the seeded fault used by the masking tests). Rows past s*window (when
-window does not divide n) run through one direct masked slab against the
-last window-1+remainder keys.
+the seeded fault used by the masking tests). Every later block shares one
+band, so the mask holds at most two blocks, O(window^2) at any n, and
+``masked_softmax`` adds it, scales and normalizes in one owned score
+buffer. Rows past s*window (when window does not divide n) run through
+one direct masked slab against the last window-1+remainder keys.
 
 All heavy math goes through the ``ops`` backend, so the same kernel runs
 eagerly or on the autodiff tape.
@@ -76,12 +78,16 @@ def _check_window(n: int, window: int) -> None:
 
 
 def local_mask(s: int, window: int, pad_guard: bool = True) -> Tensor:
-    """Additive mask per block: zero inside the band, -inf outside.
+    """Additive block mask: zero inside the band, -inf outside.
 
-    Entry [r, i1, j1] is zero iff i1 <= j1 <= i1+window-1 (the band in
-    slab coordinates) and, for block 0, j1 >= window-1 so the zero-padded
-    key rows stay unreachable. ``pad_guard=False`` drops that second
-    condition; it exists only to demonstrate the failure it causes.
+    Score block r's mask entry [i1, j1] is zero iff i1 <= j1 <= i1+window-1
+    (the band in slab coordinates) and, for block 0, j1 >= window-1 so the
+    zero-padded key rows stay unreachable. Only the distinct blocks are
+    stored: block 0, then the band blocks 1 .. s-1 share, so the result
+    holds min(s, 2) blocks and ``masked_softmax`` applies the last one to
+    every later score block. ``pad_guard=False`` drops block 0's guard,
+    leaving the one band block; it exists only to demonstrate the failure
+    it causes.
     """
     if s < 1 or window < 1:
         raise ValueError(f"need s >= 1 and window >= 1, got s={s}, window={window}")
@@ -89,10 +95,8 @@ def local_mask(s: int, window: int, pad_guard: bool = True) -> Tensor:
     i1 = np.arange(window)[:, np.newaxis]
     j1 = np.arange(width)[np.newaxis, :]
     band = (i1 <= j1) & (j1 <= i1 + window - 1)
-    out = np.where(band, 0.0, -np.inf)[np.newaxis].repeat(s, axis=0)
-    if pad_guard:
-        out[0] = np.where(band & (j1 >= window - 1), 0.0, -np.inf)
-    return Tensor._wrap(out)
+    blocks = [band & (j1 >= window - 1), band][: min(s, 2)] if pad_guard else [band]
+    return Tensor._wrap(np.where(np.stack(blocks), 0.0, -np.inf))
 
 
 def _remainder_mask(rem: int, window: int) -> Tensor:
@@ -120,7 +124,7 @@ def _lam_attention(ops, q, k, v, window: int, counters: LamCounters | None = Non
     q_blocks = ops.row_blocks(q, window, window)
     k_blocks = ops.row_blocks(k, window, 2 * window - 1)
     v_blocks = ops.row_blocks(v, window, 2 * window - 1)
-    mask = ops.constant(local_mask(s, window, pad_guard))
+    mask = local_mask(s, window, pad_guard)
 
     slab_elements = s * window * (2 * window - 1)
     before = op_counter().dot_products
@@ -128,7 +132,7 @@ def _lam_attention(ops, q, k, v, window: int, counters: LamCounters | None = Non
     if counters is not None:
         counters.dot_products += op_counter().dot_products - before
         counters.score_alloc(slab_elements)
-    weights = ops.softmax_lastdim(ops.scale(ops.add(scores, mask), inv_scale))
+    weights = ops.masked_softmax(scores, mask, inv_scale)
     blocked = ops.matmul_batched(weights, v_blocks)
     if counters is not None:
         counters.score_free(slab_elements)
@@ -141,14 +145,14 @@ def _lam_attention(ops, q, k, v, window: int, counters: LamCounters | None = Non
     q_rem = ops.gather_rows_padded(q, range(s * window, n), 0.0)
     k_slab = ops.gather_rows_padded(k, range(base, n), 0.0)
     v_slab = ops.gather_rows_padded(v, range(base, n), 0.0)
-    rem_mask = ops.constant(_remainder_mask(rem, window))
+    rem_mask = _remainder_mask(rem, window)
     rem_elements = rem * (rem + window - 1)
     before = op_counter().dot_products
     rem_scores = ops.matmul_batched(q_rem, ops.transpose_last2(k_slab))
     if counters is not None:
         counters.dot_products += op_counter().dot_products - before
         counters.score_alloc(rem_elements)
-    rem_weights = ops.softmax_lastdim(ops.scale(ops.add(rem_scores, rem_mask), inv_scale))
+    rem_weights = ops.masked_softmax(rem_scores, rem_mask, inv_scale)
     rem_out = ops.matmul_batched(rem_weights, v_slab)
     if counters is not None:
         counters.score_free(rem_elements)

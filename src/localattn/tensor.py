@@ -27,6 +27,7 @@ __all__ = [
     "reset_op_counter",
     "matmul_batched",
     "softmax_lastdim",
+    "masked_softmax",
     "gather_rows_padded",
     "row_blocks",
     "concat_axis0",
@@ -192,6 +193,38 @@ def softmax_lastdim(t: Tensor) -> Tensor:
     return Tensor._wrap(_softmax_lastdim_inplace(np.array(t.data)))
 
 
+def _plus_mask(arr: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """arr + m in a new array; a short rank-3 mask repeats its last block."""
+    if arr.ndim == 3 and m.ndim == 3 and m.shape[1:] == arr.shape[1:] and 1 <= len(m) <= len(arr):
+        out = np.empty_like(arr)
+        b = len(m) - 1
+        np.add(arr[:b], m[:b], out=out[:b])
+        np.add(arr[b:], m[b], out=out[b:])
+        return out
+    if m.shape != arr.shape:
+        raise DimensionError(f"mask shape {m.shape} does not fit scores {arr.shape}")
+    return arr + m
+
+
+def masked_softmax(scores: Tensor, mask: Tensor | None, c: float) -> Tensor:
+    """softmax((scores + mask) * c) over the last axis, in one owned buffer.
+
+    ``mask`` is additive (0 keeps an entry, -inf drops it) or None. Against
+    rank-3 scores of s blocks a rank-3 mask may hold b <= s blocks: mask
+    block r applies to score block r and the last mask block to every
+    later one, so a band most blocks share is stored once. ``c`` must be
+    positive and finite (a negative factor would turn -inf into +inf).
+    """
+    if not (np.isfinite(c) and c > 0):
+        raise ValueError(f"softmax scale must be positive and finite, got {c}")
+    if mask is None:
+        out = scores.data * c
+    else:
+        out = _plus_mask(scores.data, mask.data)
+        out *= c
+    return Tensor._wrap(_softmax_lastdim_inplace(out))
+
+
 def gather_rows_padded(m: Tensor, indices: Sequence[int], pad: float) -> Tensor:
     """Select rows of a rank-2 tensor; out-of-range indices yield pad rows.
 
@@ -326,8 +359,8 @@ class EagerOps:
     def matmul_batched(self, a, b):
         return matmul_batched(a, b)
 
-    def softmax_lastdim(self, t):
-        return softmax_lastdim(t)
+    def masked_softmax(self, scores, mask, c):
+        return masked_softmax(scores, mask, c)
 
     def gather_rows_padded(self, m, indices, pad):
         return gather_rows_padded(m, indices, pad)
@@ -349,9 +382,6 @@ class EagerOps:
 
     def add(self, a, b):
         return add(a, b)
-
-    def scale(self, t, c):
-        return scale(t, c)
 
     def transpose_last2(self, t):
         return transpose_last2(t)

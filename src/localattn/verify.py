@@ -191,7 +191,7 @@ def suite_masking(trials: int = 25, seed: int = 0, tol: float = 1e-12) -> SuiteR
 
         mask = band_mask(n, window)
         scores = EAGER.matmul_batched(q, EAGER.transpose_last2(k))
-        probs = EAGER.softmax_lastdim(EAGER.scale(EAGER.add(scores, mask), inv_sqrt))
+        probs = EAGER.masked_softmax(scores, mask, inv_sqrt)
         worst_sum = max(worst_sum, float(np.abs(probs.data.sum(axis=1) - 1.0).max()))
         nonzero_masked += int(np.count_nonzero(probs.data[np.isneginf(mask.data)]))
 
@@ -201,9 +201,11 @@ def suite_masking(trials: int = 25, seed: int = 0, tol: float = 1e-12) -> SuiteR
             t_k = EAGER.row_blocks(k, window, 2 * window - 1)
             t_m = local_mask(s, window)
             t_a = EAGER.matmul_batched(t_q, EAGER.transpose_last2(t_k))
-            t_s = EAGER.softmax_lastdim(EAGER.scale(EAGER.add(t_a, t_m), inv_sqrt))
+            t_s = EAGER.masked_softmax(t_a, t_m, inv_sqrt)
             worst_sum = max(worst_sum, float(np.abs(t_s.data.sum(axis=2) - 1.0).max()))
-            nonzero_masked += int(np.count_nonzero(t_s.data[np.isneginf(t_m.data)]))
+            # the compact mask's last block covers every later score block
+            per_block = t_m.data[np.minimum(np.arange(s), len(t_m.data) - 1)]
+            nonzero_masked += int(np.count_nonzero(t_s.data[np.isneginf(per_block)]))
         cases += 1
 
     passed = worst_sum <= tol and nonzero_masked == 0
@@ -288,6 +290,8 @@ def _op_cases(rng):
     mask_arr[0, 2] = mask_arr[1, 0] = -np.inf
     mask = Tensor(mask_arr, allow_neg_inf=True)
     sm_in = Tensor._wrap(rng.normal(size=(3, 3)))
+    sm_blocks = Tensor._wrap(rng.normal(size=(3, 2, 3)))
+    block_mask = Tensor(np.stack([mask_arr[:2], mask_arr[1:]]), allow_neg_inf=True)
     idx = np.array([2, 0, 2, -1])
     gather_src = Tensor._wrap(rng.normal(size=(3, 4)))
     block_src = Tensor._wrap(rng.normal(size=(7, 2)))  # window 3 leaves one row over
@@ -300,12 +304,18 @@ def _op_cases(rng):
     return [
         ("matmul-left", a3, lambda g, x: loss(g, g.matmul_batched(x, g.constant(b3)))),
         ("matmul-right", b3, lambda g, x: loss(g, g.matmul_batched(g.constant(a3), x))),
-        ("softmax", sm_in, lambda g, x: loss(g, g.softmax_lastdim(x))),
+        ("masked-softmax", sm_in, lambda g, x: loss(g, g.masked_softmax(x, mask, 0.7))),
         (
-            "softmax-masked",
-            sm_in,
-            lambda g, x: loss(g, g.softmax_lastdim(g.add(x, g.constant(mask)))),
+            "masked-softmax-2-blocks",
+            sm_blocks,
+            lambda g, x: loss(g, g.masked_softmax(x, block_mask, 0.7)),
         ),
+        (
+            "masked-softmax-1-block",
+            sm_blocks,
+            lambda g, x: loss(g, g.masked_softmax(x, Tensor._wrap(block_mask.data[1:]), 0.7)),
+        ),
+        ("masked-softmax-unmasked", sm_in, lambda g, x: loss(g, g.masked_softmax(x, None, 1.7))),
         (
             "affine-x",
             m34,
@@ -323,7 +333,6 @@ def _op_cases(rng):
         ),
         ("leaky", m23, lambda g, x: loss(g, g.leaky_relu(x, 0.01))),
         ("add", m23, lambda g, x: loss(g, g.add(x, g.constant(m23)))),
-        ("scale", m23, lambda g, x: loss(g, g.scale(x, -1.7))),
         ("transpose", m34, lambda g, x: loss(g, g.transpose_last2(x))),
         (
             "gather",

@@ -92,8 +92,8 @@ class TestBackwardExamples:
     def test_masked_softmax_entry_gets_zero_grad(self):
         g = Graph()
         x = g.parameter(Tensor([[2.0, 1.0]]))
-        mask = g.constant(Tensor([[0.0, NEG_INF]], allow_neg_inf=True))
-        s = g.softmax_lastdim(g.add(x, mask))
+        mask = Tensor([[0.0, NEG_INF]], allow_neg_inf=True)
+        s = g.masked_softmax(x, mask, 1.0)
         loss = g.mse(s, Tensor([[0.0, 0.0]]))
         grads = g.backward(loss)
         # output row is constant [1, 0] regardless of x: all grads vanish
@@ -103,7 +103,7 @@ class TestBackwardExamples:
         g = Graph()
         x = g.parameter(Tensor([[1.0, 2.0]]))
         with pytest.raises(GraphContractError):
-            g.backward(g.softmax_lastdim(x))
+            g.backward(g.masked_softmax(x, None, 1.0))
 
     def test_parameter_off_the_loss_path_gets_zero(self):
         g = Graph()
@@ -182,7 +182,7 @@ class TestPerOpGradients:
         t_fixed = Tensor(rng.standard_normal((3, 4)))
 
         def build(g, p):
-            return g.mse(g.softmax_lastdim(p), t_fixed)
+            return g.mse(g.masked_softmax(p, None, 1.0), t_fixed)
 
         self._trials(build, (3, 4), seed=4)
 
@@ -194,7 +194,7 @@ class TestPerOpGradients:
         t_fixed = Tensor(rng.standard_normal((3, 4)))
 
         def build(g, p):
-            s = g.softmax_lastdim(g.add(p, g.constant(mask)))
+            s = g.masked_softmax(p, mask, 1.0)
             return g.mse(s, t_fixed)
 
         self._trials(build, (3, 4), seed=5)
@@ -259,11 +259,12 @@ class TestPerOpGradients:
         self._trials(build, (2, 3), seed=10)
 
     def test_scale(self):
+        """Gradient through masked_softmax's scale factor (positive by contract)."""
         rng = np.random.default_rng(52)
         t_fixed = Tensor(rng.standard_normal((2, 3)))
 
         def build(g, p):
-            return g.mse(g.scale(p, -1.7), t_fixed)
+            return g.mse(g.masked_softmax(p, None, 1.7), t_fixed)
 
         self._trials(build, (2, 3), seed=11)
 
@@ -330,7 +331,7 @@ class TestPerOpGradients:
 
         def build(g, p):
             kt = g.transpose_last2(g.constant(k))
-            scores = g.scale(g.matmul_batched(p, kt), 1.0 / np.sqrt(3.0))
-            return g.mse(g.matmul_batched(g.softmax_lastdim(scores), g.constant(v)), t_fixed)
+            weights = g.masked_softmax(g.matmul_batched(p, kt), None, 1.0 / np.sqrt(3.0))
+            return g.mse(g.matmul_batched(weights, g.constant(v)), t_fixed)
 
         self._trials(build, (4, 3), seed=17)

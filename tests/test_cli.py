@@ -10,7 +10,7 @@ import localattn.cli as cli
 from localattn.cli import BENCH_HEADER, main, parse_config, resolve_band
 from localattn.data import Scaler, load_csv, synth_series
 from localattn.model import ForecastModel, ModelConfig, save_checkpoint
-from localattn.tensor import Tensor
+from localattn.tensor import DegenerateRowError, Tensor
 
 
 def write_csv(path, values, names):
@@ -399,6 +399,24 @@ class TestMainPlumbing:
         with pytest.raises(SystemExit) as info:
             main(["paint"])
         assert info.value.code == 2
+
+    def test_degenerate_row_is_a_run_failure_exit_1(self, capsys, monkeypatch):
+        def degenerate(**kwargs):
+            raise DegenerateRowError("softmax row with no finite entry cannot be normalized")
+
+        monkeypatch.setattr(cli, "run_all", degenerate)
+        assert main(["verify"]) == 1
+        assert capsys.readouterr().err == (
+            "error: softmax row with no finite entry cannot be normalized\n"
+        )
+
+    def test_untrainable_kind_exits_2_before_loading_data(self, tmp_path, capsys, monkeypatch):
+        argv, out = tiny_train_args(tmp_path, kind="prob")
+        monkeypatch.setattr(cli, "_load_series", lambda *args: pytest.fail("data loaded"))
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith("error: ") and "'prob'" in captured.err
 
     @pytest.mark.parametrize("command", ["bandmass", "forecast"])
     @pytest.mark.parametrize("corrupt", ["truncated", "nan-parameter"])

@@ -123,10 +123,12 @@ class TestProperties:
 
 
 class TestLocalMask:
+    """The compact layout: block 0 (pad-guarded), then the band every later block shares."""
+
     def test_window2_interior_slices(self):
         m = local_mask(3, 2).data
-        for r in (1, 2):
-            assert_array_equal(m[r], [[0.0, 0.0, NEG_INF], [NEG_INF, 0.0, 0.0]])
+        assert m.shape == (2, 2, 3)
+        assert_array_equal(m[1], [[0.0, 0.0, NEG_INF], [NEG_INF, 0.0, 0.0]])
 
     def test_window2_block0_guards_padding(self):
         m = local_mask(3, 2).data
@@ -134,19 +136,26 @@ class TestLocalMask:
 
     def test_window1_all_zero(self):
         m = local_mask(4, 1).data
-        assert m.shape == (4, 1, 1)
-        assert_array_equal(m, np.zeros((4, 1, 1)))
+        assert m.shape == (2, 1, 1)
+        assert_array_equal(m, np.zeros((2, 1, 1)))
 
     def test_guard_off_differs_only_in_block0(self):
         guarded = local_mask(3, 3).data
         bare = local_mask(3, 3, pad_guard=False).data
-        assert_array_equal(guarded[1:], bare[1:])
+        assert bare.shape == (1, 3, 5)
+        assert_array_equal(bare[0], guarded[1])
         assert not np.array_equal(guarded[0], bare[0])
 
     def test_finite_count_per_row(self):
         m = local_mask(2, 4).data
         # interior rows keep exactly window entries
         assert (np.isfinite(m[1]).sum(axis=1) == 4).all()
+
+    @pytest.mark.parametrize("s, pad_guard, blocks", [
+        (1, True, 1), (2, True, 2), (900, True, 2), (1, False, 1), (900, False, 1),
+    ])
+    def test_block_count_independent_of_length(self, s, pad_guard, blocks):
+        assert local_mask(s, 5, pad_guard).shape == (blocks, 5, 9)
 
 
 class TestKernel:

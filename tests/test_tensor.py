@@ -16,6 +16,7 @@ from localattn.tensor import (
     concat_lastdim,
     gather_rows_padded,
     leaky_relu,
+    masked_softmax,
     matmul_batched,
     op_counter,
     reset_op_counter,
@@ -176,6 +177,69 @@ class TestSoftmax:
         base = softmax_lastdim(Tensor(row))
         shifted = softmax_lastdim(Tensor(np.asarray(row) + c))
         assert np.max(np.abs(base.data - shifted.data)) <= 1e-12
+
+
+def _mask_blocks(rng, shape):
+    """A random additive mask: about a third of the slots -inf, column 0 always kept."""
+    arr = np.where(rng.random(shape) < 0.33, NEG_INF, 0.0)
+    arr[..., 0] = 0.0
+    return Tensor(arr, allow_neg_inf=True)
+
+
+class TestMaskedSoftmax:
+    # (scores shape, mask blocks or None); a rank-2 mask has the scores' shape
+    CASES = {
+        "rank2": ((4, 5), 4),
+        "rank3-b2-of-s3": ((3, 4, 5), 2),
+        "rank3-b1-of-s3": ((3, 4, 5), 1),
+        "rank3-b-equals-s": ((3, 4, 5), 3),
+        "no-mask": ((3, 4, 5), None),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_equals_add_scale_softmax_chain(self, case):
+        shape, blocks = self.CASES[case]
+        rng = np.random.default_rng(0)
+        scores = Tensor(rng.standard_normal(shape))
+        before = scores.data.copy()
+        c = 0.37
+        if blocks is None:
+            mask, chain = None, scale(scores, c)
+        else:
+            mask = _mask_blocks(rng, (blocks, *shape[1:]) if len(shape) == 3 else shape)
+            per_block = mask.data
+            if len(shape) == 3:  # the last mask block covers every later score block
+                per_block = per_block[np.minimum(np.arange(shape[0]), blocks - 1)]
+            chain = scale(add(scores, Tensor(per_block, allow_neg_inf=True)), c)
+        got = masked_softmax(scores, mask, c)
+        assert_array_equal(got.data, softmax_lastdim(chain).data)
+        assert_array_equal(scores.data, before)
+
+    ERRORS = {
+        "more-mask-blocks-than-scores": ((2, 3, 4), (3, 3, 4), 1.0, DimensionError),
+        "trailing-shape-disagrees": ((3, 3, 4), (2, 3, 5), 1.0, DimensionError),
+        "rank2-shape-disagrees": ((3, 4), (2, 4), 1.0, DimensionError),
+        "rank-disagrees": ((3, 3, 4), (3, 4), 1.0, DimensionError),
+        "zero-scale": ((3, 4), None, 0.0, ValueError),
+        "negative-scale": ((3, 4), None, -1.0, ValueError),
+        "infinite-scale": ((3, 4), None, float("inf"), ValueError),
+        "nan-scale": ((3, 4), None, float("nan"), ValueError),
+        "fully-masked-row": ((2, 3, 4), "row", 1.0, DegenerateRowError),
+    }
+
+    @pytest.mark.parametrize("case", ERRORS)
+    def test_rejects(self, case):
+        shape, mask_shape, c, error = self.ERRORS[case]
+        scores = Tensor(np.ones(shape))
+        if mask_shape == "row":
+            arr = np.zeros((1, *shape[1:]))
+            arr[0, 1] = NEG_INF
+            mask = Tensor(arr, allow_neg_inf=True)
+        else:
+            mask = None if mask_shape is None else Tensor(np.zeros(mask_shape))
+        with pytest.raises(error) as info:
+            masked_softmax(scores, mask, c)
+        assert type(info.value) is error
 
 
 class TestGatherRowsPadded:
