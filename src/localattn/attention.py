@@ -2,21 +2,24 @@
 
 This module holds everything the banded kernel is measured against: full
 (quadratic) attention, the banded causal mask, the masked-full-attention
-oracle that defines ground truth, multi-head wrapping, a sampled-query
-attention baseline, permutation utilities for the equivariance checks, and
-the band-mass diagnostic that quantifies how much attention weight a band
-of a given width would capture.
+oracle that defines ground truth, a sampled-query attention baseline,
+permutation utilities for the equivariance checks, and the band-mass
+diagnostic that quantifies how much attention weight a band of a given
+width would capture.
 
 Functions prefixed with an underscore take an ``ops`` backend
 (:class:`localattn.tensor.EagerOps` or :class:`localattn.autodiff.Graph`)
 and work on that backend's values, so the same code path runs plain or
-recorded. The public wrappers are eager.
+recorded: :func:`_full_attention` is the attention core every mechanism
+but the sampled one runs through (``localattn.lam`` calls it per block),
+and :func:`_multi_head` is the model's multi-head wrapping. The public
+functions are eager; :func:`full_attention` and the oracle keep their own
+in-place code as the independent reference the core is checked against.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -32,56 +35,14 @@ from .tensor import (
 )
 
 __all__ = [
-    "AttnConfig",
-    "HeadWeights",
     "band_mask",
     "full_attention",
     "masked_full_attention_oracle",
-    "init_head_weights",
-    "multi_head",
     "prob_attention",
     "attention_band_mass",
     "band_mass_per_row",
     "permute_rows",
 ]
-
-
-@dataclass(frozen=True)
-class AttnConfig:
-    """Shape parameters of one attention layer.
-
-    ``window`` is the number of past positions (self included) each query
-    may attend to in the banded variant. ``d_head`` defaults to
-    d_v / heads, the usual arrangement where concatenated heads restore
-    the value width.
-    """
-
-    n: int
-    d_q: int
-    d_v: int
-    window: int
-    heads: int = 1
-    d_head: int | None = None
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"sequence length must be >= 1, got {self.n}")
-        if not 1 <= self.window <= self.n:
-            raise ValueError(
-                f"window must be in [1, {self.n}], got {self.window}"
-            )
-        for name in ("d_q", "d_v", "heads"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.d_head is None:
-            if self.d_v % self.heads != 0:
-                raise ValueError(
-                    f"d_v={self.d_v} not divisible by heads={self.heads}; "
-                    "pass d_head explicitly"
-                )
-            object.__setattr__(self, "d_head", self.d_v // self.heads)
-        if self.d_head < 1:
-            raise ValueError(f"d_head must be >= 1, got {self.d_head}")
 
 
 def band_mask(n: int, window: int) -> Tensor:
@@ -142,11 +103,25 @@ def full_attention(
     return out
 
 
-def _full_attention(ops, q, k, v, mask: Tensor | None = None):
-    """Backend-generic full attention; bitwise equal to :func:`full_attention`."""
-    d_q = ops.value(q).shape[1]
+def _full_attention(ops, q, k, v, mask: Tensor | None = None, counters=None):
+    """softmax((q kᵀ + mask) / sqrt(d_q)) v on any backend: the one attention core.
+
+    Works over the last two axes, so rank-3 operands attend block by block
+    (the banded kernel's blocks and its remainder slab both run here);
+    ``mask`` is a ``masked_softmax`` mask. With ``counters`` the score
+    tensor's size is recorded as dot products and as live score elements
+    until the value product is done. Bitwise equal to :func:`full_attention`.
+    """
     scores = ops.matmul_batched(q, ops.transpose_last2(k))
-    return ops.matmul_batched(ops.masked_softmax(scores, mask, 1.0 / math.sqrt(d_q)), v)
+    size = ops.value(scores).size
+    if counters is not None:
+        counters.dot_products += size
+        counters.score_alloc(size)
+    weights = ops.masked_softmax(scores, mask, 1.0 / math.sqrt(ops.value(q).shape[-1]))
+    out = ops.matmul_batched(weights, v)
+    if counters is not None:
+        counters.score_free(size)
+    return out
 
 
 def masked_full_attention_oracle(q: Tensor, k: Tensor, v: Tensor, window: int) -> Tensor:
@@ -158,42 +133,6 @@ def masked_full_attention_oracle(q: Tensor, k: Tensor, v: Tensor, window: int) -
     """
     n, _, _ = _check_qkv(q, k, v)
     return full_attention(q, k, v, band_mask(n, window))
-
-
-@dataclass(frozen=True)
-class HeadWeights:
-    """Per-head projection matrices plus the shared output projection.
-
-    w_q[i], w_k[i] are d_head x d_q; w_v[i] is d_head x d_v; w_out is
-    (heads * d_head) x d_v. Projections are applied as x @ wᵀ, mapping
-    the feature width down to d_head.
-    """
-
-    w_q: tuple[Tensor, ...]
-    w_k: tuple[Tensor, ...]
-    w_v: tuple[Tensor, ...]
-    w_out: Tensor
-
-    @property
-    def heads(self) -> int:
-        return len(self.w_q)
-
-
-def _uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> Tensor:
-    bound = 1.0 / math.sqrt(fan_in)
-    return Tensor._wrap(rng.uniform(-bound, bound, size=shape))
-
-
-def init_head_weights(cfg: AttnConfig, seed: int = 0) -> HeadWeights:
-    """Seeded uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) head weights."""
-    rng = np.random.default_rng(seed)
-    w_q, w_k, w_v = [], [], []
-    for _ in range(cfg.heads):
-        w_q.append(_uniform(rng, (cfg.d_head, cfg.d_q), cfg.d_q))
-        w_k.append(_uniform(rng, (cfg.d_head, cfg.d_q), cfg.d_q))
-        w_v.append(_uniform(rng, (cfg.d_head, cfg.d_v), cfg.d_v))
-    w_out = _uniform(rng, (cfg.heads * cfg.d_head, cfg.d_v), cfg.heads * cfg.d_head)
-    return HeadWeights(tuple(w_q), tuple(w_k), tuple(w_v), w_out)
 
 
 def _multi_head(ops, q, k, v, head_ws, w_out, inner):
@@ -229,25 +168,6 @@ def _resolve_inner(kind: str, window: int | None, seed: int):
 
         return inner
     raise ValueError(f"unknown attention kind {kind!r}; expected full, lam or prob")
-
-
-def multi_head(
-    q: Tensor,
-    k: Tensor,
-    v: Tensor,
-    weights: HeadWeights,
-    kind: str = "full",
-    window: int | None = None,
-    seed: int = 0,
-) -> Tensor:
-    """Multi-head attention: per-head projections, inner mechanism, merge.
-
-    ``kind`` selects the inner mechanism: dense "full", banded "lam"
-    (needs ``window``), or sampled "prob" (eager only, needs ``seed``).
-    """
-    inner = _resolve_inner(kind, window, seed)
-    head_ws = list(zip(weights.w_q, weights.w_k, weights.w_v))
-    return _multi_head(EAGER, q, k, v, head_ws, weights.w_out, inner)
 
 
 def sample_count(n: int, log_base: float = 2.0) -> int:

@@ -122,29 +122,6 @@ class Graph:
 
         return self._record("affine", (x, w, b), out, vjp)
 
-    def leaky_relu(self, a: Node, alpha: float) -> Node:
-        out = T.leaky_relu(a.value, alpha)
-        av = a.value.data
-
-        def vjp(g):
-            return (g * np.where(av >= 0, 1.0, alpha),)
-
-        return self._record("leaky_relu", (a,), out, vjp)
-
-    def gather_rows_padded(self, m: Node, indices: Sequence[int], pad: float) -> Node:
-        out = T.gather_rows_padded(m.value, indices, pad)
-        idx = np.asarray(list(indices), dtype=np.int64)
-        n = m.value.shape[0]
-        valid = (idx >= 0) & (idx < n)
-        src_shape = m.value.shape
-
-        def vjp(g):
-            gm = np.zeros(src_shape, dtype=g.dtype)
-            np.add.at(gm, idx[valid], g[valid])
-            return (gm,)
-
-        return self._record("gather_rows_padded", (m,), out, vjp)
-
     def row_blocks(self, m: Node, window: int, width: int) -> Node:
         out = T.row_blocks(m.value, window, width)
         n, d = m.value.shape
@@ -160,6 +137,17 @@ class Graph:
             return (gm,)
 
         return self._record("row_blocks", (m,), out, vjp)
+
+    def rows(self, m: Node, start: int, stop: int) -> Node:
+        out = T.rows(m.value, start, stop)
+        src_shape = m.value.shape
+
+        def vjp(g):
+            gm = np.zeros(src_shape, dtype=g.dtype)
+            gm[start:stop] = g
+            return (gm,)
+
+        return self._record("rows", (m,), out, vjp)
 
     def concat_axis0(self, blocks: Sequence[Node]) -> Node:
         out = T.concat_axis0([b.value for b in blocks])

@@ -61,6 +61,13 @@ CONFIG_KEYS = {
     "seed": int,
 }
 
+# values training cannot use, rejected as the file is read (before data loads)
+CONFIG_RANGES = {
+    "lr": (lambda x: math.isfinite(x) and x > 0, "finite and > 0"),
+    "epochs": (lambda x: x >= 0, ">= 0"),
+    "batch": (lambda x: x >= 1, ">= 1"),
+}
+
 # the sines preset: matches the toy-forecasting acceptance setup
 DEFAULT_CONFIG = {
     "kind": "lam",
@@ -287,13 +294,15 @@ def parse_config(path: str) -> dict:
                 f"{path}:{lineno}: bad value {raw!r} for {key} "
                 f"(expected {CONFIG_KEYS[key].__name__})"
             )
+        if key in CONFIG_RANGES and not CONFIG_RANGES[key][0](values[key]):
+            raise UsageError(
+                f"{path}:{lineno}: {key}={raw} out of range (must be {CONFIG_RANGES[key][1]})"
+            )
     return values
 
 
 def _load_series(source: str, samples: int, d: int, seed: int):
     if source.endswith(".csv"):
-        if not os.path.exists(source):
-            raise UsageError(f"data file not found: {source}")
         return load_csv(source)
     if source in ("sines", "trend_season", "ar_noise"):
         return synth_series(source, samples, d=d, seed=seed)

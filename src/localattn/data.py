@@ -111,10 +111,17 @@ def load_csv(path: str) -> RawSeries:
     non-finite or unparseable feature cell are dropped and reported in
     ``dropped_rows`` with their 1-based file line numbers. Rows whose
     cell count disagrees with the header are an error, as is a file with
-    no numeric columns or no surviving rows.
+    no numeric columns or no surviving rows. Every error is a
+    ``ValueError`` naming the file, including an unreadable path (a
+    directory too), undecodable text and a malformed CSV field.
     """
-    with open(path, newline="") as handle:
-        rows = list(csv.reader(handle))
+    try:
+        with open(path, newline="") as handle:
+            rows = list(csv.reader(handle))
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ValueError(f"{path} is not readable CSV text: {exc}") from exc
     if not rows:
         raise ValueError(f"{path}: empty file")
     header, data = rows[0], rows[1:]

@@ -20,11 +20,14 @@ off (without that guard the zero rows would win softmax weight, which is
 the seeded fault used by the masking tests). Every later block shares one
 band, so the mask holds at most two blocks, O(window^2) at any n, and
 ``masked_softmax`` adds it, scales and normalizes in one owned score
-buffer. Rows past s*window (when window does not divide n) run through
-one direct masked slab against the last window-1+remainder keys.
+buffer. Rows past s*window (when window does not divide n) run as one
+direct masked slab: a ``rows`` slice of the queries against the last
+window-1+remainder keys.
 
-All heavy math goes through the ``ops`` backend, so the same kernel runs
-eagerly or on the autodiff tape.
+The blocks and the slab both attend through
+:func:`localattn.attention._full_attention`, which also keeps the
+counters, and all heavy math goes through the ``ops`` backend, so the
+same kernel runs eagerly or on the autodiff tape.
 """
 
 from __future__ import annotations
@@ -34,7 +37,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import EAGER, DimensionError, Tensor, op_counter
+from .attention import _full_attention
+from .tensor import EAGER, DimensionError, Tensor
 
 __all__ = [
     "LamCounters",
@@ -114,48 +118,28 @@ def _remainder_mask(rem: int, window: int) -> Tensor:
 def _lam_attention(ops, q, k, v, window: int, counters: LamCounters | None = None,
                    pad_guard: bool = True):
     """Backend-generic banded attention; see module docstring for layout."""
-    n, d_q = ops.value(q).shape
+    n = ops.value(q).shape[0]
     _check_window(n, window)
-    d_v = ops.value(v).shape[-1]
-    s = n // window
-    rem = n - s * window
-    inv_scale = 1.0 / math.sqrt(d_q)
-
-    q_blocks = ops.row_blocks(q, window, window)
-    k_blocks = ops.row_blocks(k, window, 2 * window - 1)
-    v_blocks = ops.row_blocks(v, window, 2 * window - 1)
-    mask = local_mask(s, window, pad_guard)
-
-    slab_elements = s * window * (2 * window - 1)
-    before = op_counter().dot_products
-    scores = ops.matmul_batched(q_blocks, ops.transpose_last2(k_blocks))
-    if counters is not None:
-        counters.dot_products += op_counter().dot_products - before
-        counters.score_alloc(slab_elements)
-    weights = ops.masked_softmax(scores, mask, inv_scale)
-    blocked = ops.matmul_batched(weights, v_blocks)
-    if counters is not None:
-        counters.score_free(slab_elements)
-    main = ops.reshape(blocked, (s * window, d_v))
+    s, rem = divmod(n, window)
+    width = 2 * window - 1
+    blocked = _full_attention(
+        ops,
+        ops.row_blocks(q, window, window),
+        ops.row_blocks(k, window, width),
+        ops.row_blocks(v, window, width),
+        local_mask(s, window, pad_guard),
+        counters,
+    )
+    main = ops.reshape(blocked, (s * window, ops.value(v).shape[-1]))
     if rem == 0:
         return main
 
     # trailing rows: one direct masked slab, no padding (s >= 1 here)
     base = s * window - window + 1
-    q_rem = ops.gather_rows_padded(q, range(s * window, n), 0.0)
-    k_slab = ops.gather_rows_padded(k, range(base, n), 0.0)
-    v_slab = ops.gather_rows_padded(v, range(base, n), 0.0)
-    rem_mask = _remainder_mask(rem, window)
-    rem_elements = rem * (rem + window - 1)
-    before = op_counter().dot_products
-    rem_scores = ops.matmul_batched(q_rem, ops.transpose_last2(k_slab))
-    if counters is not None:
-        counters.dot_products += op_counter().dot_products - before
-        counters.score_alloc(rem_elements)
-    rem_weights = ops.masked_softmax(rem_scores, rem_mask, inv_scale)
-    rem_out = ops.matmul_batched(rem_weights, v_slab)
-    if counters is not None:
-        counters.score_free(rem_elements)
+    rem_out = _full_attention(
+        ops, ops.rows(q, s * window, n), ops.rows(k, base, n), ops.rows(v, base, n),
+        _remainder_mask(rem, window), counters,
+    )
     return ops.concat_axis0([main, rem_out])
 
 
@@ -179,18 +163,18 @@ def lam_forward(q: Tensor, k: Tensor, v: Tensor, window: int,
     return _lam_attention(EAGER, q, k, v, window, counters, pad_guard)
 
 
-def default_window(n: int, rule: str = "4ceil", base: float = 2.0) -> int:
-    """Window width as a function of sequence length: 4 log n, rounded.
+def default_window(n: int, rule: str = "4ceil") -> int:
+    """Window width as a function of sequence length: 4 log2 n, rounded.
 
     ``rule`` picks the rounding arrangement: "4ceil" gives
-    4*ceil(log(n)), "ceil4" gives ceil(4*log(n)). Both are clamped to
-    [1, n]; the logarithm base defaults to 2.
+    4*ceil(log2(n)), "ceil4" gives ceil(4*log2(n)). Both are clamped to
+    [1, n].
     """
     if n < 1:
         raise ValueError(f"sequence length must be >= 1, got {n}")
     if n == 1:
         return 1
-    lg = math.log(n, base)
+    lg = math.log2(n)
     if rule == "4ceil":
         w = 4 * math.ceil(lg)
     elif rule == "ceil4":

@@ -328,10 +328,13 @@ def train(
     Shuffles train windows each epoch (seeded from the model config),
     averages gradients over each batch, and tracks the best validation
     epoch; those best parameters are restored before returning. Raises
-    :class:`TrainDivergenceError` if any loss goes non-finite.
+    :class:`TrainDivergenceError` if any loss goes non-finite, and
+    ``ValueError`` if the dataset has no training or validation windows.
     """
     if not dataset.train:
         raise ValueError("dataset has no training windows")
+    if not dataset.val:
+        raise ValueError("dataset has no validation windows")
     if epochs < 0 or batch < 1 or patience < 0:
         raise ValueError("need epochs >= 0, batch >= 1, patience >= 0")
     started = time.perf_counter()

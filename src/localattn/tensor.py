@@ -30,6 +30,7 @@ __all__ = [
     "masked_softmax",
     "gather_rows_padded",
     "row_blocks",
+    "rows",
     "concat_axis0",
     "concat_lastdim",
     "affine",
@@ -108,12 +109,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def copy(self) -> "Tensor":
-        return Tensor._wrap(self.data.copy())
-
-    def tolist(self):
-        return self.data.tolist()
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name})"
@@ -266,6 +261,16 @@ def row_blocks(m: Tensor, window: int, width: int) -> Tensor:
         padded, (s, width, d), (window * row, row, col), writeable=False))
 
 
+def rows(m: Tensor, start: int, stop: int) -> Tensor:
+    """Rows start .. stop-1 of a rank-2 tensor, as a view of the source."""
+    if m.ndim != 2:
+        raise DimensionError(f"rows source must be rank 2, got shape {m.shape}")
+    if not 0 <= start <= stop <= m.shape[0]:
+        raise ValueError(f"need 0 <= start <= stop <= {m.shape[0]}, "
+                         f"got start={start}, stop={stop}")
+    return Tensor._wrap(m.data[start:stop])
+
+
 def concat_axis0(blocks: Sequence[Tensor]) -> Tensor:
     """Stack rank-2 blocks along rows, preserving block order."""
     if not blocks:
@@ -362,11 +367,11 @@ class EagerOps:
     def masked_softmax(self, scores, mask, c):
         return masked_softmax(scores, mask, c)
 
-    def gather_rows_padded(self, m, indices, pad):
-        return gather_rows_padded(m, indices, pad)
-
     def row_blocks(self, m, window, width):
         return row_blocks(m, window, width)
+
+    def rows(self, m, start, stop):
+        return rows(m, start, stop)
 
     def concat_axis0(self, blocks):
         return concat_axis0(blocks)
@@ -376,9 +381,6 @@ class EagerOps:
 
     def affine(self, x, w, b, alpha=None):
         return affine(x, w, b, alpha)
-
-    def leaky_relu(self, t, alpha):
-        return leaky_relu(t, alpha)
 
     def add(self, a, b):
         return add(a, b)

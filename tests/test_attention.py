@@ -7,15 +7,14 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from localattn.attention import (
-    AttnConfig,
+    _multi_head,
+    _resolve_inner,
     attention_band_mass,
     band_mask,
     band_mass_per_row,
     full_attention,
     _full_attention,
-    init_head_weights,
     masked_full_attention_oracle,
-    multi_head,
     permute_rows,
     prob_attention,
     sample_count,
@@ -23,30 +22,6 @@ from localattn.attention import (
 from localattn.tensor import DimensionError, EAGER, Tensor
 
 NEG_INF = float("-inf")
-
-
-class TestAttnConfig:
-    def test_d_head_defaults_to_dv_over_heads(self):
-        cfg = AttnConfig(n=8, d_q=4, d_v=6, window=3, heads=2)
-        assert cfg.d_head == 3
-
-    def test_indivisible_dv_requires_explicit_d_head(self):
-        with pytest.raises(ValueError, match="divisible"):
-            AttnConfig(n=8, d_q=4, d_v=5, window=3, heads=2)
-        cfg = AttnConfig(n=8, d_q=4, d_v=5, window=3, heads=2, d_head=4)
-        assert cfg.d_head == 4
-
-    def test_window_bounds(self):
-        with pytest.raises(ValueError):
-            AttnConfig(n=4, d_q=1, d_v=1, window=5)
-        with pytest.raises(ValueError):
-            AttnConfig(n=4, d_q=1, d_v=1, window=0)
-
-    def test_positivity(self):
-        with pytest.raises(ValueError):
-            AttnConfig(n=0, d_q=1, d_v=1, window=1)
-        with pytest.raises(ValueError):
-            AttnConfig(n=2, d_q=0, d_v=1, window=1)
 
 
 class TestBandMask:
@@ -182,56 +157,59 @@ class TestMaskedOracle:
             assert (out.data[i] <= hull.max(axis=0) + 1e-12).all()
 
 
+def seeded_heads(seed, heads, d_head, d_q, d_v):
+    """Per-head (w_q, w_k, w_v) weights and the output projection."""
+    rng = np.random.default_rng(seed)
+    draw = lambda *shape: Tensor(rng.uniform(-0.5, 0.5, size=shape))
+    head_ws = [(draw(d_head, d_q), draw(d_head, d_q), draw(d_head, d_v)) for _ in range(heads)]
+    return head_ws, draw(heads * d_head, d_v)
+
+
+def multi_head(q, k, v, head_ws, w_out, kind="full", window=None):
+    return _multi_head(EAGER, q, k, v, head_ws, w_out, _resolve_inner(kind, window, 0))
+
+
 class TestMultiHead:
     def test_identity_projections_reduce_to_full(self):
-        from localattn.attention import HeadWeights
-
         rng = np.random.default_rng(8)
         q = Tensor(rng.standard_normal((5, 3)))
         k = Tensor(rng.standard_normal((5, 3)))
         v = Tensor(rng.standard_normal((5, 3)))
         eye = Tensor(np.eye(3))
-        w = HeadWeights((eye,), (eye,), (eye,), eye)
         assert_array_equal(
-            multi_head(q, k, v, w, kind="full").data,
+            multi_head(q, k, v, [(eye, eye, eye)], eye).data,
             full_attention(q, k, v).data,
         )
 
     def test_zero_output_projection_annihilates(self):
-        cfg = AttnConfig(n=4, d_q=3, d_v=2, window=2, heads=2, d_head=1)
-        w = init_head_weights(cfg, seed=0)
-        from localattn.attention import HeadWeights
-
-        w = HeadWeights(w.w_q, w.w_k, w.w_v, Tensor.zeros((2, 2)))
+        head_ws, _ = seeded_heads(0, heads=2, d_head=1, d_q=3, d_v=2)
         rng = np.random.default_rng(9)
         out = multi_head(
             Tensor(rng.standard_normal((4, 3))),
             Tensor(rng.standard_normal((4, 3))),
             Tensor(rng.standard_normal((4, 2))),
-            w,
+            head_ws,
+            Tensor.zeros((2, 2)),
         )
         assert_array_equal(out.data, np.zeros((4, 2)))
 
     def test_full_attention_is_permutation_equivariant(self):
-        cfg = AttnConfig(n=12, d_q=4, d_v=4, window=3, heads=2)
-        w = init_head_weights(cfg, seed=1)
+        head_ws, w_out = seeded_heads(1, heads=2, d_head=2, d_q=4, d_v=4)
         rng = np.random.default_rng(10)
         q = Tensor(rng.standard_normal((12, 4)))
         k = Tensor(rng.standard_normal((12, 4)))
         v = Tensor(rng.standard_normal((12, 4)))
-        base = multi_head(q, k, v, w, kind="full")
+        base = multi_head(q, k, v, head_ws, w_out)
         for trial in range(10):
             pi = np.random.default_rng(100 + trial).permutation(12)
             permuted = multi_head(
-                permute_rows(q, pi), permute_rows(k, pi), permute_rows(v, pi),
-                w, kind="full",
+                permute_rows(q, pi), permute_rows(k, pi), permute_rows(v, pi), head_ws, w_out
             )
             dev = np.max(np.abs(permuted.data - permute_rows(base, pi).data))
             assert dev <= 1e-10
 
     def test_banded_attention_is_not_equivariant(self):
-        cfg = AttnConfig(n=12, d_q=4, d_v=4, window=3, heads=2)
-        w = init_head_weights(cfg, seed=2)
+        head_ws, w_out = seeded_heads(2, heads=2, d_head=2, d_q=4, d_v=4)
         hits = 0
         for trial in range(10):
             rng = np.random.default_rng(200 + trial)
@@ -241,28 +219,22 @@ class TestMultiHead:
             pi = rng.permutation(12)
             while (pi == np.arange(12)).all():
                 pi = rng.permutation(12)
-            base = multi_head(q, k, v, w, kind="lam", window=3)
+            base = multi_head(q, k, v, head_ws, w_out, kind="lam", window=3)
             permuted = multi_head(
                 permute_rows(q, pi), permute_rows(k, pi), permute_rows(v, pi),
-                w, kind="lam", window=3,
+                head_ws, w_out, kind="lam", window=3,
             )
             if np.max(np.abs(permuted.data - permute_rows(base, pi).data)) > 1e-3:
                 hits += 1
         assert hits >= 9
 
     def test_unknown_kind_rejected(self):
-        cfg = AttnConfig(n=4, d_q=2, d_v=2, window=2)
-        w = init_head_weights(cfg)
-        z = Tensor.zeros((4, 2))
         with pytest.raises(ValueError, match="kind"):
-            multi_head(z, z, z, w, kind="banded")
+            _resolve_inner("banded", 2, 0)
 
     def test_lam_kind_needs_window(self):
-        cfg = AttnConfig(n=4, d_q=2, d_v=2, window=2)
-        w = init_head_weights(cfg)
-        z = Tensor.zeros((4, 2))
         with pytest.raises(ValueError, match="window"):
-            multi_head(z, z, z, w, kind="lam")
+            _resolve_inner("lam", None, 0)
 
 
 class TestProbAttention:

@@ -418,6 +418,42 @@ class TestMainPlumbing:
         assert captured.out == "" and not out.exists()
         assert captured.err.startswith("error: ") and "'prob'" in captured.err
 
+    @pytest.mark.parametrize("case", [
+        "data-is-a-directory", "input-is-a-directory", "non-utf8-csv", "oversized-csv-field",
+        "lr=nan", "lr=0", "epochs=-1", "batch=0", "no-validation-windows",
+    ])
+    def test_bad_input_exits_2_with_one_error_line(self, tmp_path, capsys, case):
+        """Bad paths, config values and splits: exit 2, one line naming the culprit."""
+        argv, out = tiny_train_args(tmp_path)
+        quiet = True  # nothing printed before the error
+        if case.endswith("is-a-directory"):
+            culprit = str(tmp_path / "dir.csv")
+            (tmp_path / "dir.csv").mkdir()
+            argv += ["--data", culprit]
+            if case == "input-is-a-directory":
+                ckpt, _, _ = forecast_fixture(tmp_path)
+                argv = ["forecast", "--checkpoint", ckpt, "--input", culprit, "--out", str(out)]
+        elif case == "non-utf8-csv":
+            culprit = str(tmp_path / "latin1.csv")
+            (tmp_path / "latin1.csv").write_bytes(b"a,b\n\xe9,1.0\n")
+            argv += ["--data", culprit]
+        elif case == "oversized-csv-field":  # beyond the csv module's field size limit
+            culprit = str(tmp_path / "wide.csv")
+            (tmp_path / "wide.csv").write_text("a,b\n" + "1" * 200_000 + ",1.0\n")
+            argv += ["--data", culprit]
+        elif case == "no-validation-windows":
+            culprit, quiet = "no validation windows", False
+            argv = ["train", "--samples", "400", "--out", str(out)]  # n=96 default
+        else:
+            culprit = case
+            key, value = case.split("=")
+            argv, out = tiny_train_args(tmp_path, **{key: value})
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert culprit in captured.err
+        assert not out.exists() and (captured.out == "" or not quiet)
+
     @pytest.mark.parametrize("command", ["bandmass", "forecast"])
     @pytest.mark.parametrize("corrupt", ["truncated", "nan-parameter"])
     def test_corrupt_checkpoint_exit_2(self, tmp_path, capsys, command, corrupt):

@@ -307,6 +307,8 @@ class TestDefaultWindow:
 
     def test_power_of_two(self):
         assert default_window(256) == 32
+        # math.log(2**29, 2) is 29.000000000000004, which would round up to 30
+        assert default_window(2**29) == 4 * 29
 
     def test_non_power_rounds_up(self):
         # log2(1000) = 9.97, ceil -> 10, times 4
@@ -320,10 +322,6 @@ class TestDefaultWindow:
     def test_clamped_to_n(self):
         assert default_window(2) == 2
         assert default_window(4) == 4
-
-    def test_other_base(self):
-        # ln(256) = 5.545, ceil -> 6, times 4
-        assert default_window(256, base=np.e) == 24
 
     def test_unknown_rule(self):
         with pytest.raises(ValueError):

@@ -21,6 +21,7 @@ from localattn.tensor import (
     op_counter,
     reset_op_counter,
     reshape,
+    rows,
     scale,
     softmax_lastdim,
     transpose_last2,
@@ -61,12 +62,6 @@ class TestTensorConstruction:
     def test_full_permits_mask_fill(self):
         m = Tensor.full((2, 2), NEG_INF)
         assert np.isneginf(m.data).all()
-
-    def test_copy_is_independent(self):
-        t = Tensor([1.0, 2.0])
-        c = t.copy()
-        c.data[0] = 9.0
-        assert t.data[0] == 1.0
 
 
 class TestMatmulBatched:
@@ -264,6 +259,27 @@ class TestGatherRowsPadded:
     def test_rank3_source_rejected(self):
         with pytest.raises(DimensionError):
             gather_rows_padded(Tensor(np.zeros((1, 2, 3))), (0,), 0.0)
+
+
+class TestRows:
+    M = Tensor([[1.0], [2.0], [3.0]])
+
+    def test_slice_is_a_view(self):
+        out = rows(self.M, 1, 3)
+        assert_array_equal(out.data, [[2.0], [3.0]])
+        assert np.shares_memory(out.data, self.M.data)
+
+    def test_empty_range(self):
+        assert rows(self.M, 2, 2).shape == (0, 1)
+
+    @pytest.mark.parametrize("start, stop", [(-1, 2), (2, 1), (0, 4)])
+    def test_out_of_range_rejected(self, start, stop):
+        with pytest.raises(ValueError, match="start"):
+            rows(self.M, start, stop)
+
+    def test_rank3_source_rejected(self):
+        with pytest.raises(DimensionError):
+            rows(Tensor(np.zeros((1, 2, 3))), 0, 1)
 
 
 class TestConcat:
