@@ -26,7 +26,6 @@ import numpy as np
 
 from .tensor import (
     DimensionError,
-    EAGER,
     Tensor,
     matmul_batched,
     op_counter,
@@ -152,6 +151,12 @@ def _multi_head(ops, q, k, v, head_ws, w_out, inner):
 
 
 def _resolve_inner(kind: str, window: int | None, seed: int):
+    """The attention callable (ops, q, k, v) -> out of one model kind, full or lam.
+
+    ``seed`` is unused by both kinds; the signature stays (kind, window,
+    seed) because the benchmark's tracer wraps this function by name and
+    calls it with three positional arguments.
+    """
     if kind == "full":
         return lambda ops, q, k, v: _full_attention(ops, q, k, v)
     if kind == "lam":
@@ -160,39 +165,30 @@ def _resolve_inner(kind: str, window: int | None, seed: int):
         from .lam import _lam_attention
 
         return lambda ops, q, k, v: _lam_attention(ops, q, k, v, window)
-    if kind == "prob":
-        def inner(ops, q, k, v):
-            if ops is not EAGER:
-                raise ValueError("kind 'prob' runs eagerly only (sampled, no gradient)")
-            return prob_attention(q, k, v, seed=seed)
-
-        return inner
-    raise ValueError(f"unknown attention kind {kind!r}; expected full, lam or prob")
+    raise ValueError(f"unknown attention kind {kind!r}; expected full or lam")
 
 
-def sample_count(n: int, log_base: float = 2.0) -> int:
-    """How many queries / sampled keys the sampled baseline uses: 5*ceil(log n)."""
+def sample_count(n: int) -> int:
+    """How many queries / sampled keys the sampled baseline uses: 5*ceil(log2 n)."""
     if n < 1:
         raise ValueError(f"sequence length must be >= 1, got {n}")
     if n == 1:
         return 1
-    return min(n, 5 * math.ceil(math.log(n, log_base)))
+    return min(n, 5 * math.ceil(math.log2(n)))
 
 
-def prob_attention(
-    q: Tensor, k: Tensor, v: Tensor, seed: int = 0, log_base: float = 2.0
-) -> Tensor:
+def prob_attention(q: Tensor, k: Tensor, v: Tensor, seed: int = 0) -> Tensor:
     """Sampled-query attention: exact scores for few rows, value mean elsewhere.
 
-    Picks u = 5*ceil(log n) queries whose sampled scores look least
-    uniform (max minus mean over 5*ceil(log n) sampled keys each, drawn
+    Picks u = 5*ceil(log2 n) queries whose sampled scores look least
+    uniform (max minus mean over 5*ceil(log2 n) sampled keys each, drawn
     with replacement), gives those rows exact softmax attention over all
     keys, and fills every other row with the column mean of v, the limit
     of a zeroed query. When u >= n the selection saturates and the result
     is exactly full attention.
     """
     n, d_q, _ = _check_qkv(q, k, v)
-    u = sample_count(n, log_base)
+    u = sample_count(n)
     if u >= n:
         return full_attention(q, k, v)
     rng = np.random.default_rng(seed)

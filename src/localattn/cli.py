@@ -63,6 +63,7 @@ CONFIG_KEYS = {
 
 # values training cannot use, rejected as the file is read (before data loads)
 CONFIG_RANGES = {
+    "kind": (lambda x: x in ("full", "lam"), "full or lam"),
     "lr": (lambda x: math.isfinite(x) and x > 0, "finite and > 0"),
     "epochs": (lambda x: x >= 0, ">= 0"),
     "batch": (lambda x: x >= 1, ">= 1"),
@@ -296,14 +297,25 @@ def parse_config(path: str) -> dict:
             )
         if key in CONFIG_RANGES and not CONFIG_RANGES[key][0](values[key]):
             raise UsageError(
-                f"{path}:{lineno}: {key}={raw} out of range (must be {CONFIG_RANGES[key][1]})"
+                f"{path}:{lineno}: {key}={values[key]!r} out of range "
+                f"(must be {CONFIG_RANGES[key][1]})"
             )
     return values
 
 
+def _read_csv(path: str):
+    """:func:`load_csv`, reporting the rows it dropped on one stderr line."""
+    raw = load_csv(path)
+    if raw.dropped_rows:
+        line, reason = raw.dropped_rows[0]
+        print(f"warning: {path}: dropped {len(raw.dropped_rows)} row(s), "
+              f"first at line {line} ({reason})", file=sys.stderr)
+    return raw
+
+
 def _load_series(source: str, samples: int, d: int, seed: int):
     if source.endswith(".csv"):
-        return load_csv(source)
+        return _read_csv(source)
     if source in ("sines", "trend_season", "ar_noise"):
         return synth_series(source, samples, d=d, seed=seed)
     raise UsageError(
@@ -317,8 +329,6 @@ def cmd_train(args) -> int:
         config.update(parse_config(args.config))
     if args.seed is not None:
         config["seed"] = args.seed
-    if config["kind"] not in ("full", "lam"):
-        raise UsageError(f"kind must be full or lam to train, got {config['kind']!r}")
 
     raw = _load_series(args.data, args.samples, args.d_features, config["seed"])
     dataset = standardize_split_window(
@@ -474,7 +484,7 @@ def cmd_forecast(args) -> int:
         raise UsageError(
             f"{args.checkpoint} carries no scaler; train via the CLI to embed one"
         )
-    raw = load_csv(args.input)
+    raw = _read_csv(args.input)
     cfg = model.config
     if raw.d != cfg.d_features:
         raise UsageError(

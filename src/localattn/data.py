@@ -216,7 +216,6 @@ class WindowedDataset:
     n: int
     m: int
     stride: int
-    eval_stride: int
     split_bounds: tuple[tuple[int, int], tuple[int, int], tuple[int, int]]
     feature_names: tuple[str, ...]
 
@@ -246,18 +245,16 @@ def standardize_split_window(
     n: int,
     m: int,
     stride: int = 1,
-    eval_stride: int | None = None,
-    fractions: tuple[float, float] = (0.7, 0.3),
     val_fraction: float = 0.15,
 ) -> WindowedDataset:
     """Chronological split, train-only standardization, window extraction.
 
-    The first ``fractions[0]`` of the rows form the training region, the
-    rest the test region; ``val_fraction`` of the training region (its
+    The first 70% of the rows form the training region, the rest the
+    test region; ``val_fraction`` of the training region (its
     chronological tail) is set aside for validation. The scaler is fit
     on the remaining training rows only and applied everywhere. Training
-    windows use ``stride``; validation and test windows use
-    ``eval_stride`` (default m, non-overlapping forecasts).
+    windows use ``stride``; validation and test windows step by m, so
+    their forecasts do not overlap.
     """
     if n < 1 or m < 1:
         raise ValueError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
@@ -265,15 +262,11 @@ def standardize_split_window(
         raise ValueError(
             f"series length {raw.length} < n + m = {n + m}; nothing to window"
         )
-    if not math.isclose(fractions[0] + fractions[1], 1.0, abs_tol=1e-9):
-        raise ValueError(f"fractions must sum to 1, got {fractions}")
-    if not (0 < fractions[0] < 1 and 0 <= val_fraction < 1):
-        raise ValueError(f"bad fractions {fractions} / val_fraction {val_fraction}")
-    if eval_stride is None:
-        eval_stride = m
+    if not 0 <= val_fraction < 1:
+        raise ValueError(f"val_fraction must be in [0, 1), got {val_fraction}")
 
     total = raw.length
-    train_len = int(math.floor(fractions[0] * total))
+    train_len = int(math.floor(0.7 * total))
     val_len = int(math.floor(val_fraction * train_len))
     core_len = train_len - val_len
     if core_len < n + m:
@@ -285,13 +278,12 @@ def standardize_split_window(
     values = scaler.transform(raw.values)
     return WindowedDataset(
         train=slice_windows(values, *bounds[0], n, m, stride),
-        val=slice_windows(values, *bounds[1], n, m, eval_stride),
-        test=slice_windows(values, *bounds[2], n, m, eval_stride),
+        val=slice_windows(values, *bounds[1], n, m, m),
+        test=slice_windows(values, *bounds[2], n, m, m),
         scaler=scaler,
         n=n,
         m=m,
         stride=stride,
-        eval_stride=eval_stride,
         split_bounds=bounds,
         feature_names=raw.feature_names,
     )
@@ -338,7 +330,7 @@ def write_manifest(path: str, dataset: WindowedDataset) -> None:
         f"n={dataset.n}",
         f"m={dataset.m}",
         f"stride={dataset.stride}",
-        f"eval_stride={dataset.eval_stride}",
+        f"eval_stride={dataset.m}",  # kept so the file format does not change
         f"split_bounds={dataset.split_bounds}",
         f"features={join(dataset.feature_names)}",
         f"scaler_mean={join(f'{float(v)!r}' for v in dataset.scaler.mean)}",

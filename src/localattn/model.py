@@ -15,8 +15,7 @@ Two wiring notes, both deliberate:
 * In the decoder's second attention block the queries AND keys come from
   the encoder output while the values come from the decoder stream. That
   assignment is unusual (convention projects queries from the decoder
-  stream and keys/values from the encoder); ``cross_attention="conventional"``
-  switches to the usual form for comparison.
+  stream and keys/values from the encoder).
 
 The whole forward is written once against the ops backend, so the same
 code runs eagerly for inference and on the autodiff tape for training.
@@ -54,7 +53,7 @@ __all__ = [
     "CHECKPOINT_VERSION",
 ]
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def positional_encoding(n: int, d_model: int) -> Tensor:
@@ -74,10 +73,11 @@ def positional_encoding(n: int, d_model: int) -> Tensor:
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Geometry and behavior switches of one forecaster.
+    """Geometry of one forecaster and its attention kind, full or lam.
 
     ``window`` only matters for kind="lam" and defaults to the
-    4*ceil(log2 n) rule. ``d_head`` defaults to d_model / heads.
+    4*ceil(log2 n) rule. Each head is d_model / heads wide, so heads
+    must divide d_model.
     """
 
     d_features: int
@@ -86,12 +86,10 @@ class ModelConfig:
     d_model: int = 8
     num_layers: int = 2
     heads: int = 2
-    d_head: int | None = None
     kind: str = "lam"
     window: int | None = None
     alpha: float = 0.01
     use_pe: bool = True
-    cross_attention: str = "literal"
     seed: int = 0
 
     def __post_init__(self):
@@ -101,26 +99,22 @@ class ModelConfig:
             raise ValueError(f"need n >= m >= 1, got n={self.n}, m={self.m}")
         if self.num_layers < 1:
             raise ValueError(f"num_layers must be >= 1, got {self.num_layers}")
-        if self.kind not in ("full", "lam", "prob"):
-            raise ValueError(f"unknown kind {self.kind!r}; expected full, lam or prob")
-        if self.cross_attention not in ("literal", "conventional"):
+        if self.kind not in ("full", "lam"):
+            raise ValueError(f"unknown kind {self.kind!r}; expected full or lam")
+        if not (self.d_model >= 1 and self.heads >= 1 and self.d_model % self.heads == 0):
             raise ValueError(
-                f"cross_attention must be 'literal' or 'conventional', "
-                f"got {self.cross_attention!r}"
+                f"need heads >= 1 dividing d_model >= 1, "
+                f"got d_model={self.d_model}, heads={self.heads}"
             )
-        if self.d_head is None:
-            if self.d_model % self.heads != 0:
-                raise ValueError(
-                    f"d_model={self.d_model} not divisible by heads={self.heads}; "
-                    "pass d_head explicitly"
-                )
-            object.__setattr__(self, "d_head", self.d_model // self.heads)
-        if self.d_head < 1 or self.heads < 1 or self.d_model < 1:
-            raise ValueError("d_model, heads and d_head must all be >= 1")
         if self.window is None:
             object.__setattr__(self, "window", default_window(self.n))
         if not 1 <= self.window <= self.n:
             raise ValueError(f"window must be in [1, {self.n}], got {self.window}")
+
+    @property
+    def d_head(self) -> int:
+        """Width of one attention head."""
+        return self.d_model // self.heads
 
 
 class ForecastModel:
@@ -194,10 +188,7 @@ class ForecastModel:
     def _decoder_layer(self, ops, i: int, y, enc, p, inner):
         self_att = self._mh(ops, f"dec{i}.self", y, y, y, p, inner)
         r1 = ops.add(y, self_att)
-        if self.config.cross_attention == "literal":
-            cross = self._mh(ops, f"dec{i}.cross", enc, enc, r1, p, inner)
-        else:
-            cross = self._mh(ops, f"dec{i}.cross", r1, enc, enc, p, inner)
+        cross = self._mh(ops, f"dec{i}.cross", enc, enc, r1, p, inner)
         return self._projections(ops, f"dec{i}", ops.add(r1, cross), p)
 
     def _embed(self, ops, x, p):
@@ -250,8 +241,6 @@ class ForecastModel:
     def forward_graph(self, g: Graph, x: Tensor) -> tuple[Node, dict[str, Node]]:
         """Recorded forward for training; returns output node and param nodes."""
         self._check_input(x)
-        if self.config.kind == "prob":
-            raise ValueError("kind 'prob' has no recorded mode (sampled, no gradient)")
         nodes = {name: g.parameter(t) for name, t in self.params.items()}
         out = self._forward(g, g.constant(x), lambda name: nodes[name], self._inner())
         return out, nodes

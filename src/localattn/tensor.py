@@ -87,10 +87,6 @@ class Tensor:
     def zeros(cls, shape: Sequence[int]) -> "Tensor":
         return cls._wrap(np.zeros(tuple(shape)))
 
-    @classmethod
-    def full(cls, shape: Sequence[int], value: float) -> "Tensor":
-        return cls(np.full(tuple(shape), value), allow_neg_inf=True)
-
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape

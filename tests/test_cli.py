@@ -371,7 +371,7 @@ class TestForecastCommand:
         scaler = Scaler(mean=np.zeros(1), std=np.ones(1))
         dataset = WindowedDataset(
             train=windows, val=windows[:2], test=windows[:2], scaler=scaler,
-            n=8, m=3, stride=1, eval_stride=3,
+            n=8, m=3, stride=1,
             split_bounds=((0, 0), (0, 0), (0, 0)), feature_names=("v",),
         )
         model = ForecastModel(
@@ -420,7 +420,8 @@ class TestMainPlumbing:
 
     @pytest.mark.parametrize("case", [
         "data-is-a-directory", "input-is-a-directory", "non-utf8-csv", "oversized-csv-field",
-        "lr=nan", "lr=0", "epochs=-1", "batch=0", "no-validation-windows",
+        "lr=nan", "lr=0", "epochs=-1", "batch=0", "h=0", "bandmass-heads=0",
+        "no-validation-windows",
     ])
     def test_bad_input_exits_2_with_one_error_line(self, tmp_path, capsys, case):
         """Bad paths, config values and splits: exit 2, one line naming the culprit."""
@@ -441,6 +442,11 @@ class TestMainPlumbing:
             culprit = str(tmp_path / "wide.csv")
             (tmp_path / "wide.csv").write_text("a,b\n" + "1" * 200_000 + ",1.0\n")
             argv += ["--data", culprit]
+        elif case in ("h=0", "bandmass-heads=0"):  # ModelConfig names the field
+            culprit = "heads=0"
+            argv, out = tiny_train_args(tmp_path, h="0")
+            if case.startswith("bandmass"):
+                argv = ["bandmass", "--heads", "0", "--out", str(out)]
         elif case == "no-validation-windows":
             culprit, quiet = "no validation windows", False
             argv = ["train", "--samples", "400", "--out", str(out)]  # n=96 default
@@ -453,6 +459,25 @@ class TestMainPlumbing:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert culprit in captured.err
         assert not out.exists() and (captured.out == "" or not quiet)
+
+    @pytest.mark.parametrize("command", ["train", "forecast"])
+    def test_dropped_csv_rows_reported(self, tmp_path, capsys, command):
+        """Rows ``load_csv`` drops are counted on one stderr line; the run still succeeds."""
+        values = synth_series("sines", 400, d=2, seed=1).values.astype(object)
+        values[3, 0], values[7, 1] = "abc", "inf"  # file lines 5 and 9
+        data = tmp_path / "gappy.csv"
+        data.write_text("x,y\n" + "".join(f"{a},{b}\n" for a, b in values))
+        if command == "train":
+            argv, _ = tiny_train_args(tmp_path)
+            argv[argv.index("--samples"):argv.index("--stride")] = ["--data", str(data)]
+        else:
+            ckpt, _, _ = forecast_fixture(tmp_path)
+            argv = ["forecast", "--checkpoint", ckpt, "--input", str(data),
+                    "--out", str(tmp_path / "fc.csv")]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == (
+            f"warning: {data}: dropped 2 row(s), first at line 5 (column x: unparseable 'abc')\n"
+        )
 
     @pytest.mark.parametrize("command", ["bandmass", "forecast"])
     @pytest.mark.parametrize("corrupt", ["truncated", "nan-parameter"])

@@ -260,11 +260,11 @@ class TestStandardizeSplitWindow:
         assert last_target < first_test_row
 
     def test_eval_stride_defaults_to_horizon(self):
-        ds = standardize_split_window(self.ramp(), n=16, m=4)
-        assert ds.eval_stride == 4
-        rows0 = ds.scaler.inverse(ds.test[0][0].data)[0, 0]
-        rows1 = ds.scaler.inverse(ds.test[1][0].data)[0, 0]
-        assert rows1 - rows0 == 4
+        """Validation and test windows step by m: their forecasts do not overlap."""
+        ds = standardize_split_window(self.ramp(), n=16, m=4, stride=1)
+        for windows in (ds.val, ds.test):
+            starts = [ds.scaler.inverse(x.data)[0, 0] for x, _ in windows]
+            assert len(starts) >= 2 and np.allclose(np.diff(starts), 4.0)
 
     def test_series_too_short_rejected(self):
         with pytest.raises(ValueError, match="nothing to window"):
@@ -274,9 +274,10 @@ class TestStandardizeSplitWindow:
         with pytest.raises(ValueError, match="training region"):
             standardize_split_window(self.ramp(total=40), n=20, m=8)
 
-    def test_bad_fractions_rejected(self):
-        with pytest.raises(ValueError, match="fractions"):
-            standardize_split_window(self.ramp(), n=8, m=2, fractions=(0.6, 0.3))
+    @pytest.mark.parametrize("val_fraction", [-0.1, 1.0, float("nan")])
+    def test_bad_val_fraction_rejected(self, val_fraction):
+        with pytest.raises(ValueError, match="val_fraction"):
+            standardize_split_window(self.ramp(), n=8, m=2, val_fraction=val_fraction)
 
     def test_constant_feature_rejected(self):
         values = np.random.default_rng(3).normal(size=(400, 2))
@@ -294,7 +295,7 @@ class TestMetrics:
 
     def test_unit_offset(self):
         a = Tensor.zeros((3, 2))
-        b = Tensor.full((3, 2), 1.0)
+        b = Tensor(np.full((3, 2), 1.0))
         assert mse(a, b) == 1.0
         assert mae(a, b) == 1.0
 

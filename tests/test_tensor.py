@@ -60,7 +60,7 @@ class TestTensorConstruction:
         assert t.dtype == np.float64
 
     def test_full_permits_mask_fill(self):
-        m = Tensor.full((2, 2), NEG_INF)
+        m = Tensor(np.full((2, 2), NEG_INF), allow_neg_inf=True)
         assert np.isneginf(m.data).all()
 
 
@@ -131,7 +131,7 @@ class TestSoftmax:
         assert_allclose(out.data, [2.0 / 3.0, 1.0 / 3.0], atol=1e-15)
 
     def test_degenerate_row_raises(self):
-        m = Tensor.full((2, 2), NEG_INF)
+        m = Tensor(np.full((2, 2), NEG_INF), allow_neg_inf=True)
         with pytest.raises(DegenerateRowError):
             softmax_lastdim(m)
 
