@@ -1,10 +1,11 @@
 """Banded local attention with a blocked kernel, verified against full attention.
 
 The package builds up in layers: dense tensor kernels with an operation
-counter (:mod:`localattn.tensor`), a recording autodiff tape over the same
-vocabulary (:mod:`localattn.autodiff`), full / sampled attention and the
-banded mask (:mod:`localattn.attention`), the block-decomposed local
-kernel (:mod:`localattn.lam`), a small encoder-decoder forecaster
+counter (:mod:`localattn.tensor`, also the eager ``ops`` backend), a
+recording autodiff tape over the same vocabulary
+(:mod:`localattn.autodiff`), full / sampled attention and the banded
+mask (:mod:`localattn.attention`), the block-decomposed local kernel
+(:mod:`localattn.lam`), a small encoder-decoder forecaster
 (:mod:`localattn.model`), series synthesis and windowing
 (:mod:`localattn.data`), and a CLI (``localattn``).
 """
@@ -12,8 +13,6 @@ kernel (:mod:`localattn.lam`), a small encoder-decoder forecaster
 from .tensor import (
     DegenerateRowError,
     DimensionError,
-    EagerOps,
-    EAGER,
     OpCounter,
     Tensor,
     op_counter,
@@ -30,8 +29,6 @@ __all__ = [
     "OpCounter",
     "op_counter",
     "reset_op_counter",
-    "EagerOps",
-    "EAGER",
     "Graph",
     "GraphContractError",
     "Node",

@@ -8,7 +8,7 @@ diagnostic that quantifies how much attention weight a band of a given
 width would capture.
 
 Functions prefixed with an underscore take an ``ops`` backend
-(:class:`localattn.tensor.EagerOps` or :class:`localattn.autodiff.Graph`)
+(the :mod:`localattn.tensor` module or a :class:`localattn.autodiff.Graph`)
 and work on that backend's values, so the same code path runs plain or
 recorded: :func:`_full_attention` is the attention core every mechanism
 but the sampled one runs through (``localattn.lam`` calls it per block),
@@ -28,7 +28,6 @@ from .tensor import (
     DimensionError,
     Tensor,
     matmul_batched,
-    op_counter,
     transpose_last2,
     _softmax_lastdim_inplace,
 )
@@ -85,16 +84,14 @@ def full_attention(
     n, d_q, _ = _check_qkv(q, k, v)
     if mask is not None and mask.shape != (n, n):
         raise DimensionError(f"mask shape {mask.shape} != ({n}, {n})")
-    before = op_counter().dot_products
     scores = matmul_batched(q, transpose_last2(k))
-    score_dots = op_counter().dot_products - before
     arr = scores.data
     if mask is not None:
         arr += mask.data
     arr *= 1.0 / math.sqrt(d_q)
     _softmax_lastdim_inplace(arr)
     if counters is not None:
-        counters.dot_products += score_dots
+        counters.dot_products += scores.size
         counters.score_alloc(n * n)
     out = matmul_batched(Tensor._wrap(arr), v)
     if counters is not None:
@@ -177,7 +174,7 @@ def sample_count(n: int) -> int:
     return min(n, 5 * math.ceil(math.log2(n)))
 
 
-def prob_attention(q: Tensor, k: Tensor, v: Tensor, seed: int = 0) -> Tensor:
+def prob_attention(q: Tensor, k: Tensor, v: Tensor, seed: int = 0, counters=None) -> Tensor:
     """Sampled-query attention: exact scores for few rows, value mean elsewhere.
 
     Picks u = 5*ceil(log2 n) queries whose sampled scores look least
@@ -185,12 +182,14 @@ def prob_attention(q: Tensor, k: Tensor, v: Tensor, seed: int = 0) -> Tensor:
     with replacement), gives those rows exact softmax attention over all
     keys, and fills every other row with the column mean of v, the limit
     of a zeroed query. When u >= n the selection saturates and the result
-    is exactly full attention.
+    is exactly full attention. With ``counters`` (as for
+    :func:`full_attention`) the n*u sampled and u*n selected scores are
+    recorded; the sampled ones are freed first, so the peak is n*u.
     """
     n, d_q, _ = _check_qkv(q, k, v)
     u = sample_count(n)
     if u >= n:
-        return full_attention(q, k, v)
+        return full_attention(q, k, v, counters=counters)
     rng = np.random.default_rng(seed)
     sampled = rng.integers(0, n, size=(n, u))
     # one (u x d_q) @ (d_q x 1) product per query, through the counted path
@@ -198,6 +197,7 @@ def prob_attention(q: Tensor, k: Tensor, v: Tensor, seed: int = 0) -> Tensor:
     q_col = Tensor._wrap(q.data[:, :, np.newaxis])
     samp_scores = matmul_batched(k_samp, q_col).data[..., 0] / math.sqrt(d_q)
     sparsity = samp_scores.max(axis=1) - samp_scores.mean(axis=1)
+    del samp_scores
     order = np.argsort(-sparsity, kind="stable")
     selected = np.sort(order[:u])
 
@@ -207,6 +207,10 @@ def prob_attention(q: Tensor, k: Tensor, v: Tensor, seed: int = 0) -> Tensor:
     arr *= 1.0 / math.sqrt(d_q)
     _softmax_lastdim_inplace(arr)
     out[selected] = matmul_batched(Tensor._wrap(arr), v).data
+    if counters is not None:
+        counters.dot_products += 2 * n * u
+        counters.score_alloc(n * u)
+        counters.score_free(n * u)
     return Tensor._wrap(out)
 
 

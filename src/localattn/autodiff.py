@@ -1,11 +1,12 @@
 """Tape-recorded reverse-mode differentiation over the tensor kernels.
 
-A :class:`Graph` exposes the same operation vocabulary as
-:class:`localattn.tensor.EagerOps`, so any kernel written against that
-interface can be recorded and differentiated without a second
-implementation. Forward values are computed immediately (define-by-run);
-the tape's insertion order is a topological order by construction, and
-backward walks it in reverse accumulating vector-Jacobian products.
+A :class:`Graph` exposes the same operation vocabulary as the eager
+backend, the :mod:`localattn.tensor` module itself, so any kernel written
+against that interface can be recorded and differentiated without a
+second implementation. Forward values are computed immediately
+(define-by-run); the tape's insertion order is a topological order by
+construction, and backward walks it in reverse accumulating
+vector-Jacobian products.
 
 Masked softmax entries (-inf inputs) are structural zeros: their output is
 exactly 0 and no gradient flows through them, which is the limit of the

@@ -36,7 +36,7 @@ from .model import (
     save_checkpoint,
     train,
 )
-from .tensor import DegenerateRowError, Tensor, op_counter
+from .tensor import DegenerateRowError, Tensor
 from .verify import run_all
 
 __all__ = ["main", "BenchRecord", "bench_records", "parse_config", "BENCH_HEADER"]
@@ -46,6 +46,10 @@ BENCH_HEADER = "mechanism,n,L,d_model,wall_ns,dot_products,peak_score_elements,s
 # memory guard for the quadratic baseline: an n x n float64 score matrix
 # plus operands must fit comfortably; larger cells are skipped, not crashed
 MEM_LIMIT_BYTES = int(3.5 * 2**30)
+
+# untimed work before the first timed cell: a fresh process can run
+# threaded matmuls an order of magnitude slower for up to about a second
+WARMUP_SECONDS = 1.5
 
 CONFIG_KEYS = {
     "kind": str,
@@ -82,10 +86,6 @@ DEFAULT_CONFIG = {
     "batch": 32,
     "seed": 0,
 }
-
-
-class UsageError(ValueError):
-    """Bad flags, files, or config values; maps to exit code 2."""
 
 
 # -- verify ------------------------------------------------------------------
@@ -131,11 +131,11 @@ def resolve_band(rule: str, n: int) -> int:
         try:
             k = int(rule.split(":", 1)[1])
         except ValueError:
-            raise UsageError(f"bad --l-rule {rule!r}: fixed:<k> needs an integer")
+            raise ValueError(f"bad --l-rule {rule!r}: fixed:<k> needs an integer")
         if k < 1:
-            raise UsageError(f"bad --l-rule {rule!r}: band must be >= 1")
+            raise ValueError(f"bad --l-rule {rule!r}: band must be >= 1")
         return min(k, n)
-    raise UsageError(f"unknown --l-rule {rule!r}; expected 4ceil, ceil4 or fixed:<k>")
+    raise ValueError(f"unknown --l-rule {rule!r}; expected 4ceil, ceil4 or fixed:<k>")
 
 
 def _estimated_bytes(mechanism: str, n: int, window: int, d: int) -> int:
@@ -150,32 +150,38 @@ def _estimated_bytes(mechanism: str, n: int, window: int, d: int) -> int:
 
 
 def _run_mechanism(mechanism: str, q, k, v, window: int, seed: int):
-    """One forward; returns (dot_products, peak_score_elements)."""
+    """One forward; returns its counters' (dot_products, peak_score_elements)."""
+    counters = LamCounters()
     if mechanism == "lam":
-        counters = LamCounters()
         lam_forward(q, k, v, window, counters=counters)
-        return counters.dot_products, counters.peak_score_elements
-    if mechanism == "full":
-        counters = LamCounters()
+    elif mechanism == "full":
         full_attention(q, k, v, counters=counters)
-        return counters.dot_products, counters.peak_score_elements
-    n = q.shape[0]
-    before = op_counter().dot_products
-    prob_attention(q, k, v, seed=seed)
-    return op_counter().dot_products - before, n * sample_count(n)
+    else:
+        prob_attention(q, k, v, seed=seed, counters=counters)
+    return counters.dot_products, counters.peak_score_elements
+
+
+def _warm_up() -> None:
+    """Untimed full-attention forwards (threaded BLAS at n=512) for WARMUP_SECONDS."""
+    x = Tensor._wrap(np.random.default_rng(0).normal(size=(512, 8)))
+    deadline = time.perf_counter() + WARMUP_SECONDS
+    while time.perf_counter() < deadline:
+        full_attention(x, x, x)
 
 
 def bench_records(n_list, mechanisms, l_rule, repeats, d_model, seed):
     """Timed records plus (mechanism, n, reason) skip notes.
 
-    Each cell is a single attention forward on seeded operands, timed
-    as the median of ``repeats`` runs after one warm-up. Counter columns
-    come from the deterministic element accounting, not the clock.
+    The process is warmed up for ``WARMUP_SECONDS`` first. Each cell is a
+    single attention forward on seeded operands, timed as the median of
+    ``repeats`` runs after one more untimed run. Counter columns come
+    from the deterministic element accounting, not the clock.
     """
+    windows = [resolve_band(l_rule, n) for n in n_list]
+    _warm_up()
     records = []
     skipped = []
-    for n in n_list:
-        window = resolve_band(l_rule, n)
+    for n, window in zip(n_list, windows):
         rng = np.random.default_rng(seed + n)
         q = Tensor._wrap(rng.normal(size=(n, d_model)))
         k = Tensor._wrap(rng.normal(size=(n, d_model)))
@@ -230,13 +236,13 @@ def fit_slopes(records):
 def cmd_bench(args) -> int:
     n_list = _parse_int_list(args.n_list, "--n-list")
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise UsageError(f"--n-list must be strictly ascending, got {n_list}")
+        raise ValueError(f"--n-list must be strictly ascending, got {n_list}")
     mechanisms = [m.strip() for m in args.mechanisms.split(",") if m.strip()]
     bad = [m for m in mechanisms if m not in ("full", "lam", "prob")]
     if bad or not mechanisms:
-        raise UsageError(f"--mechanisms must name full, lam and/or prob, got {args.mechanisms!r}")
+        raise ValueError(f"--mechanisms must name full, lam and/or prob, got {args.mechanisms!r}")
     if args.repeats < 5:
-        raise UsageError(f"--repeats must be >= 5 for a stable median, got {args.repeats}")
+        raise ValueError(f"--repeats must be >= 5 for a stable median, got {args.repeats}")
 
     records, skipped = bench_records(
         n_list, mechanisms, args.l_rule, args.repeats, args.d_model, args.seed
@@ -278,25 +284,25 @@ def parse_config(path: str) -> dict:
         with open(path) as handle:
             lines = handle.readlines()
     except OSError as exc:
-        raise UsageError(f"cannot read config {path}: {exc}")
+        raise ValueError(f"cannot read config {path}: {exc}")
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
-            raise UsageError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
+            raise ValueError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key not in CONFIG_KEYS:
-            raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
             values[key] = CONFIG_KEYS[key](raw)
         except ValueError:
-            raise UsageError(
+            raise ValueError(
                 f"{path}:{lineno}: bad value {raw!r} for {key} "
                 f"(expected {CONFIG_KEYS[key].__name__})"
             )
         if key in CONFIG_RANGES and not CONFIG_RANGES[key][0](values[key]):
-            raise UsageError(
+            raise ValueError(
                 f"{path}:{lineno}: {key}={values[key]!r} out of range "
                 f"(must be {CONFIG_RANGES[key][1]})"
             )
@@ -318,7 +324,7 @@ def _load_series(source: str, samples: int, d: int, seed: int):
         return _read_csv(source)
     if source in ("sines", "trend_season", "ar_noise"):
         return synth_series(source, samples, d=d, seed=seed)
-    raise UsageError(
+    raise ValueError(
         f"--data must be sines, trend_season, ar_noise or a .csv path, got {source!r}"
     )
 
@@ -427,8 +433,6 @@ def _capture_projected_qk(model: ForecastModel, x: Tensor):
 
 def cmd_bandmass(args) -> int:
     if args.checkpoint:
-        if not os.path.exists(args.checkpoint):
-            raise UsageError(f"checkpoint not found: {args.checkpoint}")
         model, scaler, _ = load_checkpoint(args.checkpoint)
     else:
         model = ForecastModel(
@@ -454,7 +458,7 @@ def cmd_bandmass(args) -> int:
     if args.l_list:
         bands = _parse_int_list(args.l_list, "--l-list")
         if any(not 1 <= b <= cfg.n for b in bands):
-            raise UsageError(f"--l-list values must lie in [1, {cfg.n}]")
+            raise ValueError(f"--l-list values must lie in [1, {cfg.n}]")
     else:
         bands = sorted({2**p for p in range(int(math.log2(cfg.n)) + 1)} | {cfg.n})
 
@@ -477,21 +481,19 @@ def cmd_bandmass(args) -> int:
 
 
 def cmd_forecast(args) -> int:
-    if not os.path.exists(args.checkpoint):
-        raise UsageError(f"checkpoint not found: {args.checkpoint}")
     model, scaler, _ = load_checkpoint(args.checkpoint)
     if scaler is None:
-        raise UsageError(
+        raise ValueError(
             f"{args.checkpoint} carries no scaler; train via the CLI to embed one"
         )
     raw = _read_csv(args.input)
     cfg = model.config
     if raw.d != cfg.d_features:
-        raise UsageError(
+        raise ValueError(
             f"{args.input} has {raw.d} features, checkpoint expects {cfg.d_features}"
         )
     if raw.length < cfg.n:
-        raise UsageError(
+        raise ValueError(
             f"{args.input} has {raw.length} usable rows, need at least {cfg.n}"
         )
     window = scaler.transform(raw.values[-cfg.n :])
@@ -514,9 +516,9 @@ def _parse_int_list(text: str, flag: str):
     try:
         values = [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
-        raise UsageError(f"{flag} must be comma-separated integers, got {text!r}")
+        raise ValueError(f"{flag} must be comma-separated integers, got {text!r}")
     if not values:
-        raise UsageError(f"{flag} must not be empty")
+        raise ValueError(f"{flag} must not be empty")
     return values
 
 

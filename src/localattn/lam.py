@@ -38,7 +38,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attention import _full_attention
-from .tensor import EAGER, DimensionError, Tensor
+from . import tensor
+from .tensor import DimensionError, Tensor
 
 __all__ = [
     "LamCounters",
@@ -160,7 +161,7 @@ def lam_forward(q: Tensor, k: Tensor, v: Tensor, window: int,
         raise DimensionError(f"k shape {k.shape} != q shape {q.shape}")
     if v.shape[0] != q.shape[0]:
         raise DimensionError(f"v has {v.shape[0]} rows, expected {q.shape[0]}")
-    return _lam_attention(EAGER, q, k, v, window, counters, pad_guard)
+    return _lam_attention(tensor, q, k, v, window, counters, pad_guard)
 
 
 def default_window(n: int, rule: str = "4ceil") -> int:

@@ -36,7 +36,8 @@ from .attention import _multi_head, _resolve_inner
 from .autodiff import Graph, Node
 from .data import Scaler, WindowedDataset, mae, mse
 from .lam import default_window
-from .tensor import EAGER, DimensionError, Tensor
+from . import tensor
+from .tensor import DimensionError, Tensor
 
 __all__ = [
     "ModelConfig",
@@ -229,14 +230,14 @@ class ForecastModel:
         """
         self._check_input(x)
         return self._forward(
-            EAGER, x, lambda name: self.params[name], inner or self._inner()
+            tensor, x, lambda name: self.params[name], inner or self._inner()
         )
 
     def encode(self, x: Tensor) -> Tensor:
         """Embedding (+ position signal) and the encoder stack only."""
         self._check_input(x)
         p = lambda name: self.params[name]
-        return self._encode(EAGER, self._embed(EAGER, x, p), p, self._inner())
+        return self._encode(tensor, self._embed(tensor, x, p), p, self._inner())
 
     def forward_graph(self, g: Graph, x: Tensor) -> tuple[Node, dict[str, Node]]:
         """Recorded forward for training; returns output node and param nodes."""

@@ -7,8 +7,14 @@ pre-softmax scores; NaN is never legal and is rejected at construction.
 
 All public operations are pure: inputs are never mutated. Every batched
 matrix product runs through :func:`matmul_batched`, which counts dot
-products into a module-level counter -- the single chokepoint the
-complexity instrumentation reads, for every attention variant alike.
+products into a module-level counter.
+
+This module is also the eager ``ops`` backend: code written against the
+op vocabulary (``constant``, ``matmul_batched``, ``masked_softmax``,
+``row_blocks``, ``rows``, ``concat_axis0``, ``concat_lastdim``,
+``affine``, ``add``, ``transpose_last2``, ``reshape``, ``value``) takes
+the module itself as ``ops`` to run plainly, or a
+:class:`localattn.autodiff.Graph` to run on the tape.
 """
 
 from __future__ import annotations
@@ -39,7 +45,8 @@ __all__ = [
     "scale",
     "transpose_last2",
     "reshape",
-    "EagerOps",
+    "constant",
+    "value",
 ]
 
 
@@ -346,50 +353,11 @@ def reshape(t: Tensor, shape: Iterable[int]) -> Tensor:
     return Tensor._wrap(t.data.reshape(shape))
 
 
-class EagerOps:
-    """Executes the shared kernel vocabulary directly on tensors.
-
-    ``autodiff.Graph`` implements the same method set; code written
-    against this interface (the attention kernels, the forecaster) runs
-    unchanged in plain or recorded mode.
-    """
-
-    def constant(self, t: Tensor) -> Tensor:
-        return t
-
-    def matmul_batched(self, a, b):
-        return matmul_batched(a, b)
-
-    def masked_softmax(self, scores, mask, c):
-        return masked_softmax(scores, mask, c)
-
-    def row_blocks(self, m, window, width):
-        return row_blocks(m, window, width)
-
-    def rows(self, m, start, stop):
-        return rows(m, start, stop)
-
-    def concat_axis0(self, blocks):
-        return concat_axis0(blocks)
-
-    def concat_lastdim(self, parts):
-        return concat_lastdim(parts)
-
-    def affine(self, x, w, b, alpha=None):
-        return affine(x, w, b, alpha)
-
-    def add(self, a, b):
-        return add(a, b)
-
-    def transpose_last2(self, t):
-        return transpose_last2(t)
-
-    def reshape(self, t, shape):
-        return reshape(t, shape)
-
-    def value(self, t: Tensor) -> Tensor:
-        """The plain tensor behind a backend value (identity here)."""
-        return t
+def constant(t: Tensor) -> Tensor:
+    """A tensor as an operand of the ops below (identity; ``Graph`` records it)."""
+    return t
 
 
-EAGER = EagerOps()
+def value(t: Tensor) -> Tensor:
+    """The plain tensor behind an operand (identity; ``Graph`` unwraps a node)."""
+    return t

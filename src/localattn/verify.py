@@ -20,7 +20,8 @@ from .autodiff import Graph, finite_diff_grad
 from .data import Scaler, WindowedDataset
 from .lam import LamCounters, _lam_attention, local_mask
 from .model import ForecastModel, ModelConfig
-from .tensor import EAGER, Tensor
+from . import tensor
+from .tensor import Tensor
 
 __all__ = [
     "SuiteResult",
@@ -95,7 +96,7 @@ def suite_oracle_equivalence(
         q = Tensor._wrap(rng.normal(size=(n, d_q)))
         k = Tensor._wrap(rng.normal(size=(n, d_q)))
         v = Tensor._wrap(rng.normal(size=(n, d_v)))
-        got = _lam_attention(EAGER, q, k, v, window, pad_guard=not inject_fault)
+        got = _lam_attention(tensor, q, k, v, window, pad_guard=not inject_fault)
         want = masked_full_attention_oracle(q, k, v, window)
         dev_rows = np.max(np.abs(got.data - want.data), axis=1)
         dev = float(dev_rows.max())
@@ -140,7 +141,7 @@ def suite_counting(trials: int = 40, seed: int = 0) -> SuiteResult:
         k = Tensor._wrap(rng.normal(size=(n, 3)))
         v = Tensor._wrap(rng.normal(size=(n, 2)))
         counters = LamCounters()
-        _lam_attention(EAGER, q, k, v, window, counters=counters)
+        _lam_attention(tensor, q, k, v, window, counters=counters)
         s = n // window
         if n % window == 0:
             if counters.dot_products != (2 * window - 1) * n:
@@ -190,18 +191,18 @@ def suite_masking(trials: int = 25, seed: int = 0, tol: float = 1e-12) -> SuiteR
         inv_sqrt = 1.0 / math.sqrt(d_q)
 
         mask = band_mask(n, window)
-        scores = EAGER.matmul_batched(q, EAGER.transpose_last2(k))
-        probs = EAGER.masked_softmax(scores, mask, inv_sqrt)
+        scores = tensor.matmul_batched(q, tensor.transpose_last2(k))
+        probs = tensor.masked_softmax(scores, mask, inv_sqrt)
         worst_sum = max(worst_sum, float(np.abs(probs.data.sum(axis=1) - 1.0).max()))
         nonzero_masked += int(np.count_nonzero(probs.data[np.isneginf(mask.data)]))
 
         s = n // window
         if s >= 1:
-            t_q = EAGER.row_blocks(q, window, window)
-            t_k = EAGER.row_blocks(k, window, 2 * window - 1)
+            t_q = tensor.row_blocks(q, window, window)
+            t_k = tensor.row_blocks(k, window, 2 * window - 1)
             t_m = local_mask(s, window)
-            t_a = EAGER.matmul_batched(t_q, EAGER.transpose_last2(t_k))
-            t_s = EAGER.masked_softmax(t_a, t_m, inv_sqrt)
+            t_a = tensor.matmul_batched(t_q, tensor.transpose_last2(t_k))
+            t_s = tensor.masked_softmax(t_a, t_m, inv_sqrt)
             worst_sum = max(worst_sum, float(np.abs(t_s.data.sum(axis=2) - 1.0).max()))
             # the compact mask's last block covers every later score block
             per_block = t_m.data[np.minimum(np.arange(s), len(t_m.data) - 1)]
@@ -219,12 +220,13 @@ def suite_masking(trials: int = 25, seed: int = 0, tol: float = 1e-12) -> SuiteR
 # -- permutation equivariance -------------------------------------------------
 
 
-def suite_equivariance(
-    permutations: int = 10,
-    seed: int = 0,
-    tol_equi: float = 1e-10,
-    tol_break: float = 1e-3,
-) -> SuiteResult:
+# full attention must commute with a permutation to _TOL_EQUI; a banded
+# output that moves by more than _TOL_BREAK counts as broken
+_TOL_EQUI = 1e-10
+_TOL_BREAK = 1e-3
+
+
+def suite_equivariance(permutations: int = 10, seed: int = 0) -> SuiteResult:
     """Full multi-head attention commutes with row permutations; banded does not.
 
     The banded kernel is required to break equivariance in at least 9 of
@@ -246,7 +248,7 @@ def suite_equivariance(
         w_out = draw(heads * d_head)
 
         def attend(x, inner):
-            return _multi_head(EAGER, x, x, x, head_ws, w_out, inner)
+            return _multi_head(tensor, x, x, x, head_ws, w_out, inner)
 
         x = Tensor._wrap(rng.normal(size=(n, d)))
         idx = rng.permutation(n)
@@ -257,14 +259,14 @@ def suite_equivariance(
         full_dev = permute_rows(attend(x, full), idx).data - attend(xp, full).data
         worst_full = max(worst_full, float(np.abs(full_dev).max()))
         lam_dev = permute_rows(attend(x, lam), idx).data - attend(xp, lam).data
-        if float(np.abs(lam_dev).max()) > tol_break:
+        if float(np.abs(lam_dev).max()) > _TOL_BREAK:
             lam_breaks += 1
 
     need = max(permutations - 1, 1)
-    passed = worst_full <= tol_equi and lam_breaks >= need
+    passed = worst_full <= _TOL_EQUI and lam_breaks >= need
     detail = (
         f"{permutations} permutations, full worst dev = {worst_full:.3e} "
-        f"(tol {tol_equi:.0e}), banded broke in {lam_breaks} (need >= {need})"
+        f"(tol {_TOL_EQUI:.0e}), banded broke in {lam_breaks} (need >= {need})"
     )
     return SuiteResult(name, passed, detail)
 
@@ -380,13 +382,17 @@ class _PreActProbe:
         if alpha is not None:
             pre = x.data @ w.data + b.data
             self.min_abs_pre = min(self.min_abs_pre, float(np.abs(pre).min()))
-        return EAGER.affine(x, w, b, alpha)
+        return tensor.affine(x, w, b, alpha)
 
     def __getattr__(self, name):
-        return getattr(EAGER, name)
+        return getattr(tensor, name)
 
 
-def _smooth_model_point(kind: str, seed: int, kink_margin: float = 1e-3):
+# how far every leaky-ReLU pre-activation must stay from 0 at a check point
+_KINK_MARGIN = 1e-3
+
+
+def _smooth_model_point(kind: str, seed: int):
     """A (model, x, y) triple whose forward stays clear of activation kinks."""
     for attempt in range(50):
         cfg = ModelConfig(
@@ -399,7 +405,7 @@ def _smooth_model_point(kind: str, seed: int, kink_margin: float = 1e-3):
         y = Tensor._wrap(rng.normal(size=(2, 1)))
         probe = _PreActProbe()
         model._forward(probe, x, lambda name: model.params[name], model._inner())
-        if probe.min_abs_pre > kink_margin:
+        if probe.min_abs_pre > _KINK_MARGIN:
             return model, x, y
     raise RuntimeError("could not find a kink-free gradient-check point")
 

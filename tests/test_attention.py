@@ -19,7 +19,8 @@ from localattn.attention import (
     prob_attention,
     sample_count,
 )
-from localattn.tensor import DimensionError, EAGER, Tensor
+from localattn import tensor
+from localattn.tensor import DimensionError, Tensor
 
 NEG_INF = float("-inf")
 
@@ -101,7 +102,7 @@ class TestFullAttention:
         v = Tensor(rng.standard_normal((6, 2)))
         for mask in (None, band_mask(6, 2)):
             fused = full_attention(q, k, v, mask)
-            generic = _full_attention(EAGER, q, k, v, mask)
+            generic = _full_attention(tensor, q, k, v, mask)
             assert_array_equal(fused.data, generic.data)
 
 
@@ -166,7 +167,7 @@ def seeded_heads(seed, heads, d_head, d_q, d_v):
 
 
 def multi_head(q, k, v, head_ws, w_out, kind="full", window=None):
-    return _multi_head(EAGER, q, k, v, head_ws, w_out, _resolve_inner(kind, window, 0))
+    return _multi_head(tensor, q, k, v, head_ws, w_out, _resolve_inner(kind, window, 0))
 
 
 class TestMultiHead:

@@ -9,12 +9,29 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from localattn import tensor
 from localattn.autodiff import Graph, GraphContractError, finite_diff_grad
 from localattn.tensor import Tensor
 
 NEG_INF = float("-inf")
 H = 1e-5
 TOL = 1e-6
+
+# the ``ops`` vocabulary the kernels and the model are written against
+OPS_INTERFACE = (
+    "constant",
+    "matmul_batched",
+    "masked_softmax",
+    "row_blocks",
+    "rows",
+    "concat_axis0",
+    "concat_lastdim",
+    "affine",
+    "add",
+    "transpose_last2",
+    "reshape",
+    "value",
+)
 
 
 def rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
@@ -120,16 +137,19 @@ class TestBackwardExamples:
         # y = 2x, loss = 4x^2, dloss/dx = 8x = 16
         assert_allclose(grads[x.id].data, [16.0], atol=0)
 
+    @pytest.mark.parametrize("name", OPS_INTERFACE)
+    def test_both_backends_offer_the_op(self, name):
+        assert callable(getattr(tensor, name, None))
+        assert callable(getattr(Graph(), name, None))
+
     def test_forward_values_match_eager(self):
         rng = np.random.default_rng(42)
-        from localattn.tensor import EAGER
-
         x = Tensor(rng.standard_normal((3, 4)))
         w = Tensor(rng.standard_normal((4, 2)))
         b = Tensor(rng.standard_normal(2))
         g = Graph()
         node = g.affine(g.parameter(x), g.parameter(w), g.parameter(b), alpha=0.01)
-        eager = EAGER.affine(x, w, b, alpha=0.01)
+        eager = tensor.affine(x, w, b, alpha=0.01)
         assert_array_equal(g.value(node).data, eager.data)
 
 

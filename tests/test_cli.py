@@ -79,10 +79,16 @@ class TestBenchCommand:
         assert "peak RSS" in stdout
 
     def test_prob_mechanism_rows(self, tmp_path, capsys):
-        text, _ = self.run_bench(tmp_path, capsys, "--mechanisms", "prob")
+        text, _ = self.run_bench(
+            tmp_path, capsys, "--mechanisms", "prob", "--n-list", "16,64,256"
+        )
         rows = [line.split(",") for line in text.strip().splitlines()[1:]]
         assert all(row[0] == "prob" for row in rows)
-        assert all(int(row[5]) > 0 for row in rows)
+        # score-stage products only: n^2 once u = 5*ceil(log2 n) >= n (full
+        # attention), else n*u sampled plus u*n selected; peak n*u either way
+        got = {int(row[1]): (int(row[5]), int(row[6])) for row in rows}
+        assert got == {16: (256, 256), 64: (2 * 64 * 30, 64 * 30),
+                       256: (2 * 256 * 40, 256 * 40)}
 
     def test_determinism_of_counts(self, tmp_path, capsys):
         text1, _ = self.run_bench(tmp_path, capsys)
@@ -133,9 +139,9 @@ class TestResolveBand:
         assert resolve_band("fixed:32", 8) == 8  # clamped to n
 
     def test_bad_rules(self):
-        with pytest.raises(cli.UsageError):
+        with pytest.raises(ValueError):
             resolve_band("fixed:0", 16)
-        with pytest.raises(cli.UsageError):
+        with pytest.raises(ValueError):
             resolve_band("quadratic", 16)
 
 
@@ -155,23 +161,23 @@ class TestParseConfig:
     def test_unknown_key_named(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("window=8\n")
-        with pytest.raises(cli.UsageError, match="window"):
+        with pytest.raises(ValueError, match="window"):
             parse_config(str(path))
 
     def test_bad_value_named(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("n=abc\n")
-        with pytest.raises(cli.UsageError, match="abc"):
+        with pytest.raises(ValueError, match="abc"):
             parse_config(str(path))
 
     def test_missing_file(self):
-        with pytest.raises(cli.UsageError, match="no-such"):
+        with pytest.raises(ValueError, match="no-such"):
             parse_config("no-such.cfg")
 
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("just words\n")
-        with pytest.raises(cli.UsageError, match="key=value"):
+        with pytest.raises(ValueError, match="key=value"):
             parse_config(str(path))
 
 

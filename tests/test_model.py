@@ -21,7 +21,8 @@ from localattn.model import (
     save_checkpoint,
     train,
 )
-from localattn.tensor import EAGER, DimensionError, Tensor
+from localattn import tensor
+from localattn.tensor import DimensionError, Tensor
 
 
 def tiny_config(**overrides):
@@ -159,7 +160,7 @@ class TestLayers:
             model.params[name] = Tensor.zeros(t.shape)
         x = Tensor._wrap(np.random.default_rng(1).normal(size=(8, 4)))
         p = lambda name: model.params[name]
-        out = model._encoder_layer(EAGER, 0, x, p, model._inner())
+        out = model._encoder_layer(tensor, 0, x, p, model._inner())
         assert np.array_equal(out.data, np.zeros((8, 4)))
 
     @staticmethod
@@ -174,8 +175,8 @@ class TestLayers:
         self._identity_attention(model, "enc0")
         x = Tensor._wrap(np.random.default_rng(2).normal(size=(6, 3)))
         p = lambda name: model.params[name]
-        out = model._encoder_layer(EAGER, 0, x, p, model._inner())
-        attn = _full_attention(EAGER, x, x, x)
+        out = model._encoder_layer(tensor, 0, x, p, model._inner())
+        attn = _full_attention(tensor, x, x, x)
         expected = x.data + attn.data
         assert np.allclose(out.data, expected, atol=1e-12)
 
@@ -188,8 +189,8 @@ class TestLayers:
         y = Tensor._wrap(np.random.default_rng(3).normal(size=(6, 3)))
         enc = Tensor.zeros((6, 3))
         p = lambda name: model.params[name]
-        out = model._decoder_layer(EAGER, 0, y, enc, p, model._inner())
-        r1 = y.data + _full_attention(EAGER, y, y, y).data
+        out = model._decoder_layer(tensor, 0, y, enc, p, model._inner())
+        r1 = y.data + _full_attention(tensor, y, y, y).data
         expected = r1 + np.tile(r1.mean(axis=0), (6, 1))
         assert np.allclose(out.data, expected, atol=1e-12)
 
@@ -198,8 +199,8 @@ class TestLayers:
         x = Tensor._wrap(np.random.default_rng(4).normal(size=(8, 6)))
         p = lambda name: model.params[name]
         inner = model._inner()
-        enc = model._encoder_layer(EAGER, 0, x, p, inner)
-        dec = model._decoder_layer(EAGER, 0, x, enc, p, inner)
+        enc = model._encoder_layer(tensor, 0, x, p, inner)
+        dec = model._decoder_layer(tensor, 0, x, enc, p, inner)
         assert enc.shape == x.shape
         assert dec.shape == x.shape
 
