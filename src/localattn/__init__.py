@@ -16,7 +16,6 @@ from .tensor import (
     OpCounter,
     Tensor,
     op_counter,
-    reset_op_counter,
 )
 from .autodiff import Graph, GraphContractError, Node, finite_diff_grad
 
@@ -28,7 +27,6 @@ __all__ = [
     "DegenerateRowError",
     "OpCounter",
     "op_counter",
-    "reset_op_counter",
     "Graph",
     "GraphContractError",
     "Node",

@@ -13,8 +13,9 @@ and work on that backend's values, so the same code path runs plain or
 recorded: :func:`_full_attention` is the attention core every mechanism
 but the sampled one runs through (``localattn.lam`` calls it per block),
 and :func:`_multi_head` is the model's multi-head wrapping. The public
-functions are eager; :func:`full_attention` and the oracle keep their own
-in-place code as the independent reference the core is checked against.
+functions are eager and normalize through one in-place chain,
+:func:`_softmax_weights`, so :func:`full_attention` and the oracle stay
+an independent reference the core is checked against.
 """
 
 from __future__ import annotations
@@ -43,6 +44,11 @@ __all__ = [
 ]
 
 
+def _check_window(n: int, window: int) -> None:
+    if not 1 <= window <= n:
+        raise ValueError(f"window must be in [1, {n}], got {window}")
+
+
 def band_mask(n: int, window: int) -> Tensor:
     """Additive n x n mask keeping, per row i, columns i-window+1 .. i.
 
@@ -50,25 +56,45 @@ def band_mask(n: int, window: int) -> Tensor:
     softmax zeroes everything outside the trailing band. Row i has exactly
     min(i+1, window) zeros: early rows have shorter history.
     """
-    if not 1 <= window <= n:
-        raise ValueError(f"window must be in [1, {n}], got {window}")
+    _check_window(n, window)
     i = np.arange(n)[:, np.newaxis]
     j = np.arange(n)[np.newaxis, :]
     keep = (j <= i) & (j >= i - window + 1)
     return Tensor._wrap(np.where(keep, 0.0, -np.inf))
 
 
-def _check_qkv(q: Tensor, k: Tensor, v: Tensor) -> tuple[int, int, int]:
-    if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
+def _check_qkv(q: Tensor, k: Tensor, v: Tensor | None = None) -> tuple[int, int]:
+    """Shape checks shared by every eager entry point; returns (n, d_q).
+
+    q and k must be the same (n, d_q) with d_q >= 1 (the scores are scaled
+    by 1/sqrt(d_q)); v, when given, must be rank 2 with n rows.
+    """
+    operands = (q, k) if v is None else (q, k, v)
+    if any(t.ndim != 2 for t in operands):
         raise DimensionError(
-            f"q, k, v must be rank 2, got {q.shape}, {k.shape}, {v.shape}"
+            f"q, k, v must be rank 2, got {', '.join(str(t.shape) for t in operands)}"
         )
     n, d_q = q.shape
     if k.shape != (n, d_q):
         raise DimensionError(f"k shape {k.shape} != q shape {q.shape}")
-    if v.shape[0] != n:
+    if d_q == 0:
+        raise DimensionError(f"q and k need at least one column, got shape {q.shape}")
+    if v is not None and v.shape[0] != n:
         raise DimensionError(f"v has {v.shape[0]} rows, expected {n}")
-    return n, d_q, v.shape[1]
+    return n, d_q
+
+
+def _softmax_weights(q: Tensor, k: Tensor, mask: Tensor | None = None) -> np.ndarray:
+    """softmax((q kᵀ + mask) / sqrt(d_q)) in place on one owned score array.
+
+    The eager reference chain: full attention, the sampled baseline's
+    selected rows and the band-mass diagnostic all normalize through it.
+    """
+    arr = matmul_batched(q, transpose_last2(k)).data
+    if mask is not None:
+        arr += mask.data
+    arr *= 1.0 / math.sqrt(q.shape[-1])
+    return _softmax_lastdim_inplace(arr)
 
 
 def full_attention(
@@ -81,19 +107,14 @@ def full_attention(
     ``counters`` (any object with ``dot_products`` and score-lifetime
     hooks) the score-stage work is recorded.
     """
-    n, d_q, _ = _check_qkv(q, k, v)
+    n, _ = _check_qkv(q, k, v)
     if mask is not None and mask.shape != (n, n):
         raise DimensionError(f"mask shape {mask.shape} != ({n}, {n})")
-    scores = matmul_batched(q, transpose_last2(k))
-    arr = scores.data
-    if mask is not None:
-        arr += mask.data
-    arr *= 1.0 / math.sqrt(d_q)
-    _softmax_lastdim_inplace(arr)
+    weights = _softmax_weights(q, k, mask)
     if counters is not None:
-        counters.dot_products += scores.size
+        counters.dot_products += n * n
         counters.score_alloc(n * n)
-    out = matmul_batched(Tensor._wrap(arr), v)
+    out = matmul_batched(Tensor._wrap(weights), v)
     if counters is not None:
         counters.score_free(n * n)
     return out
@@ -127,7 +148,7 @@ def masked_full_attention_oracle(q: Tensor, k: Tensor, v: Tensor, window: int) -
     normalizes. The blocked kernel must reproduce this to 64-bit
     tolerance; every equivalence test compares against this function.
     """
-    n, _, _ = _check_qkv(q, k, v)
+    n, _ = _check_qkv(q, k, v)
     return full_attention(q, k, v, band_mask(n, window))
 
 
@@ -186,7 +207,7 @@ def prob_attention(q: Tensor, k: Tensor, v: Tensor, seed: int = 0, counters=None
     :func:`full_attention`) the n*u sampled and u*n selected scores are
     recorded; the sampled ones are freed first, so the peak is n*u.
     """
-    n, d_q, _ = _check_qkv(q, k, v)
+    n, d_q = _check_qkv(q, k, v)
     u = sample_count(n)
     if u >= n:
         return full_attention(q, k, v, counters=counters)
@@ -202,11 +223,8 @@ def prob_attention(q: Tensor, k: Tensor, v: Tensor, seed: int = 0, counters=None
     selected = np.sort(order[:u])
 
     out = np.tile(v.data.mean(axis=0), (n, 1))
-    scores = matmul_batched(Tensor._wrap(q.data[selected]), transpose_last2(k))
-    arr = scores.data
-    arr *= 1.0 / math.sqrt(d_q)
-    _softmax_lastdim_inplace(arr)
-    out[selected] = matmul_batched(Tensor._wrap(arr), v).data
+    weights = _softmax_weights(Tensor._wrap(q.data[selected]), k)
+    out[selected] = matmul_batched(Tensor._wrap(weights), v).data
     if counters is not None:
         counters.dot_products += 2 * n * u
         counters.score_alloc(n * u)
@@ -220,17 +238,9 @@ def band_mass_per_row(q: Tensor, k: Tensor, window: int) -> Tensor:
     Row i's value is the sum of attention scores over columns
     max(0, i-window+1) .. i of the dense, unmasked score matrix; in [0, 1].
     """
-    n, d_q, _ = _check_qkv(q, k, Tensor.zeros((q.shape[0], 1)))
-    if not 1 <= window <= n:
-        raise ValueError(f"window must be in [1, {n}], got {window}")
-    scores = matmul_batched(q, transpose_last2(k))
-    arr = scores.data
-    arr *= 1.0 / math.sqrt(d_q)
-    _softmax_lastdim_inplace(arr)
-    i = np.arange(n)[:, np.newaxis]
-    j = np.arange(n)[np.newaxis, :]
-    inside = (j <= i) & (j >= i - window + 1)
-    return Tensor._wrap(np.sum(arr * inside, axis=1))
+    n, _ = _check_qkv(q, k)
+    inside = band_mask(n, window).data == 0
+    return Tensor._wrap(np.sum(_softmax_weights(q, k) * inside, axis=1))
 
 
 def attention_band_mass(q: Tensor, k: Tensor, window: int) -> float:

@@ -18,6 +18,7 @@ rule here; it never touches the tape.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -113,9 +114,11 @@ class Graph:
         return self._record("add", (a, b), out, vjp)
 
     def affine(self, x: Node, w: Node, b: Node, alpha: float | None = None) -> Node:
-        out = T.affine(x.value, w.value, b.value, alpha)
+        out = T.affine(x.value, w.value, b.value)
+        pre = out.data
+        if alpha is not None:
+            out = Tensor._wrap(T._leaky(pre, alpha))
         xv, wv = x.value.data, w.value.data
-        pre = xv @ wv + b.value.data if alpha is not None else None
 
         def vjp(g):
             gpre = g if alpha is None else g * np.where(pre >= 0, 1.0, alpha)
@@ -152,27 +155,19 @@ class Graph:
 
     def concat_axis0(self, blocks: Sequence[Node]) -> Node:
         out = T.concat_axis0([b.value for b in blocks])
-        row_counts = [b.value.shape[0] for b in blocks]
+        ends = list(accumulate(b.value.shape[0] for b in blocks))
 
         def vjp(g):
-            grads, at = [], 0
-            for rows in row_counts:
-                grads.append(g[at : at + rows])
-                at += rows
-            return tuple(grads)
+            return [g[start:stop] for start, stop in zip([0] + ends, ends)]
 
         return self._record("concat_axis0", tuple(blocks), out, vjp)
 
     def concat_lastdim(self, parts: Sequence[Node]) -> Node:
         out = T.concat_lastdim([p.value for p in parts])
-        widths = [p.value.shape[-1] for p in parts]
+        ends = list(accumulate(p.value.shape[-1] for p in parts))
 
         def vjp(g):
-            grads, at = [], 0
-            for w in widths:
-                grads.append(g[..., at : at + w])
-                at += w
-            return tuple(grads)
+            return [g[..., start:stop] for start, stop in zip([0] + ends, ends)]
 
         return self._record("concat_lastdim", tuple(parts), out, vjp)
 

@@ -92,6 +92,8 @@ DEFAULT_CONFIG = {
 
 
 def cmd_verify(args) -> int:
+    if args.trials < 0:
+        raise ValueError(f"--trials must be >= 0, got {args.trials}")
     results = run_all(
         trials=args.trials, seed=args.seed, inject_fault=args.inject_fault is not None
     )
@@ -125,8 +127,8 @@ class BenchRecord:
 
 def resolve_band(rule: str, n: int) -> int:
     """Band size for one n under an --l-rule value; fixed:<k> clamps to n."""
-    if rule in ("4ceil", "ceil4"):
-        return default_window(n, rule=rule)
+    if rule == "4ceil":
+        return default_window(n)
     if rule.startswith("fixed:"):
         try:
             k = int(rule.split(":", 1)[1])
@@ -135,7 +137,7 @@ def resolve_band(rule: str, n: int) -> int:
         if k < 1:
             raise ValueError(f"bad --l-rule {rule!r}: band must be >= 1")
         return min(k, n)
-    raise ValueError(f"unknown --l-rule {rule!r}; expected 4ceil, ceil4 or fixed:<k>")
+    raise ValueError(f"unknown --l-rule {rule!r}; expected 4ceil or fixed:<k>")
 
 
 def _estimated_bytes(mechanism: str, n: int, window: int, d: int) -> int:
@@ -253,13 +255,7 @@ def cmd_bench(args) -> int:
         # empty measurement cells keep the 8-column schema for skipped cells
         lines.append(f"{mechanism},{n},{window},{args.d_model},,,,{args.seed}")
         lines.append(f"# skipped: mechanism={mechanism} n={n} reason={reason}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
-        print(f"wrote {len(records)} records to {args.out}")
-    else:
-        print(text, end="")
+    _write_or_print(lines, args.out, f"wrote {len(records)} records to {args.out}")
 
     for mechanism, n, window, reason in skipped:
         print(f"skipped {mechanism} at n={n}: {reason}")
@@ -467,13 +463,7 @@ def cmd_bandmass(args) -> int:
         for band in bands:
             mass = attention_band_mass(q, k, band)
             lines.append(f"{label},{head},{band},{mass!r}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
-        print(f"wrote {len(lines) - 1} rows to {args.out}")
-    else:
-        print(text, end="")
+    _write_or_print(lines, args.out, f"wrote {len(lines) - 1} rows to {args.out}")
     return 0
 
 
@@ -512,6 +502,17 @@ def cmd_forecast(args) -> int:
 # -- plumbing ---------------------------------------------------------------------
 
 
+def _write_or_print(lines, path: str | None, message: str) -> None:
+    """Write the lines to ``path`` and print ``message``, or print the lines."""
+    text = "\n".join(lines) + "\n"
+    if path:
+        with open(path, "w") as handle:
+            handle.write(text)
+        print(message)
+    else:
+        print(text, end="")
+
+
 def _parse_int_list(text: str, flag: str):
     try:
         values = [int(part) for part in text.split(",") if part.strip()]
@@ -546,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--l-rule",
         default="4ceil",
-        help="band rule: 4ceil (4*ceil(log2 n)), ceil4 (ceil(4*log2 n)) or fixed:<k>",
+        help="band rule: 4ceil (4*ceil(log2 n)) or fixed:<k>",
     )
     p.add_argument("--repeats", type=int, default=5, help="timing repetitions (>= 5)")
     p.add_argument("--d-model", type=int, default=8)

@@ -27,6 +27,7 @@ __all__ = [
     "standardize_split_window",
     "mse",
     "mae",
+    "mean_errors",
     "repeat_last_baseline",
     "baseline_metrics",
     "write_manifest",
@@ -304,6 +305,19 @@ def mae(pred: Tensor, target: Tensor) -> float:
     return float(np.mean(np.abs(pred.data - target.data)))
 
 
+def mean_errors(pairs) -> tuple[float, float]:
+    """Mean MSE / MAE over (prediction, target) pairs; NaN for no pairs."""
+    se = ae = 0.0
+    count = 0
+    for pred, target in pairs:
+        se += mse(pred, target)
+        ae += mae(pred, target)
+        count += 1
+    if not count:
+        return float("nan"), float("nan")
+    return se / count, ae / count
+
+
 def repeat_last_baseline(x: Tensor, m: int) -> Tensor:
     """Forecast that repeats the last observed row m times."""
     if x.ndim != 2:
@@ -313,14 +327,7 @@ def repeat_last_baseline(x: Tensor, m: int) -> Tensor:
 
 def baseline_metrics(windows) -> tuple[float, float]:
     """Mean MSE / MAE of the repeat-last baseline over windows."""
-    if not windows:
-        return float("nan"), float("nan")
-    se = ae = 0.0
-    for x, y in windows:
-        pred = repeat_last_baseline(x, y.shape[0])
-        se += mse(pred, y)
-        ae += mae(pred, y)
-    return se / len(windows), ae / len(windows)
+    return mean_errors((repeat_last_baseline(x, y.shape[0]), y) for x, y in windows)
 
 
 def write_manifest(path: str, dataset: WindowedDataset) -> None:

@@ -37,9 +37,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attention import _full_attention
+from .attention import _check_qkv, _check_window, _full_attention
 from . import tensor
-from .tensor import DimensionError, Tensor
+from .tensor import Tensor
 
 __all__ = [
     "LamCounters",
@@ -75,11 +75,6 @@ class LamCounters:
         self.dot_products = 0
         self.peak_score_elements = 0
         self._live = 0
-
-
-def _check_window(n: int, window: int) -> None:
-    if not 1 <= window <= n:
-        raise ValueError(f"window must be in [1, {n}], got {window}")
 
 
 def local_mask(s: int, window: int, pad_guard: bool = True) -> Tensor:
@@ -153,33 +148,14 @@ def lam_forward(q: Tensor, k: Tensor, v: Tensor, window: int,
     elements; ``pad_guard=False`` disables block 0's padding mask (a
     deliberate fault switch for negative tests).
     """
-    if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
-        raise DimensionError(
-            f"q, k, v must be rank 2, got {q.shape}, {k.shape}, {v.shape}"
-        )
-    if k.shape != q.shape:
-        raise DimensionError(f"k shape {k.shape} != q shape {q.shape}")
-    if v.shape[0] != q.shape[0]:
-        raise DimensionError(f"v has {v.shape[0]} rows, expected {q.shape[0]}")
+    _check_qkv(q, k, v)
     return _lam_attention(tensor, q, k, v, window, counters, pad_guard)
 
 
-def default_window(n: int, rule: str = "4ceil") -> int:
-    """Window width as a function of sequence length: 4 log2 n, rounded.
-
-    ``rule`` picks the rounding arrangement: "4ceil" gives
-    4*ceil(log2(n)), "ceil4" gives ceil(4*log2(n)). Both are clamped to
-    [1, n].
-    """
+def default_window(n: int) -> int:
+    """Window width as a function of sequence length: 4*ceil(log2 n), clamped to [1, n]."""
     if n < 1:
         raise ValueError(f"sequence length must be >= 1, got {n}")
     if n == 1:
         return 1
-    lg = math.log2(n)
-    if rule == "4ceil":
-        w = 4 * math.ceil(lg)
-    elif rule == "ceil4":
-        w = math.ceil(4 * lg)
-    else:
-        raise ValueError(f"unknown rule {rule!r}; expected '4ceil' or 'ceil4'")
-    return min(n, max(1, w))
+    return min(n, 4 * math.ceil(math.log2(n)))

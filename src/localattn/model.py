@@ -32,9 +32,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .attention import _multi_head, _resolve_inner
+from .attention import _check_window, _multi_head, _resolve_inner
 from .autodiff import Graph, Node
-from .data import Scaler, WindowedDataset, mae, mse
+from .data import Scaler, WindowedDataset, mae, mean_errors
 from .lam import default_window
 from . import tensor
 from .tensor import DimensionError, Tensor
@@ -45,7 +45,6 @@ __all__ = [
     "TrainReport",
     "TrainDivergenceError",
     "positional_encoding",
-    "count_parameters",
     "train",
     "evaluate",
     "save_checkpoint",
@@ -109,8 +108,7 @@ class ModelConfig:
             )
         if self.window is None:
             object.__setattr__(self, "window", default_window(self.n))
-        if not 1 <= self.window <= self.n:
-            raise ValueError(f"window must be in [1, {self.n}], got {self.window}")
+        _check_window(self.n, self.window)
 
     @property
     def d_head(self) -> int:
@@ -247,11 +245,6 @@ class ForecastModel:
         return out, nodes
 
 
-def count_parameters(model: ForecastModel) -> int:
-    """Total scalar parameters registered on the model."""
-    return sum(t.size for t in model.params.values())
-
-
 # -- training -------------------------------------------------------------
 
 
@@ -265,7 +258,7 @@ class TrainDivergenceError(RuntimeError):
 
 @dataclass
 class TrainReport:
-    """Per-epoch curves plus final held-out metrics."""
+    """Per-epoch curves and wall times plus final held-out metrics."""
 
     epochs_run: int
     train_mse: list[float] = field(default_factory=list)
@@ -276,19 +269,12 @@ class TrainReport:
     test_mae: float | None = None
     stopped_early: bool = False
     best_epoch: int = -1
-    wall_seconds: float = 0.0
+    epoch_seconds: list[float] = field(default_factory=list)
 
 
 def evaluate(model: ForecastModel, windows) -> tuple[float, float]:
     """Mean MSE / MAE of eager forecasts over (input, target) windows."""
-    if not windows:
-        return float("nan"), float("nan")
-    se = ae = 0.0
-    for x, y in windows:
-        pred = model.forward(x)
-        se += mse(pred, y)
-        ae += mae(pred, y)
-    return se / len(windows), ae / len(windows)
+    return mean_errors((model.forward(x), y) for x, y in windows)
 
 
 def _window_grads(model: ForecastModel, x: Tensor, y: Tensor):
@@ -296,11 +282,10 @@ def _window_grads(model: ForecastModel, x: Tensor, y: Tensor):
     out, nodes = model.forward_graph(g, x)
     loss = g.mse(out, y)
     grads = g.backward(loss)
-    pred = g.value(out)
     return (
         {name: grads[node.id].data for name, node in nodes.items()},
         loss.value.item(),
-        float(np.mean(np.abs(pred.data - y.data))),
+        mae(g.value(out), y),
     )
 
 
@@ -317,7 +302,9 @@ def train(
 
     Shuffles train windows each epoch (seeded from the model config),
     averages gradients over each batch, and tracks the best validation
-    epoch; those best parameters are restored before returning. Raises
+    epoch; those best parameters are restored before returning. ``log``
+    gets one line per epoch: the losses, the epoch's wall seconds
+    (training plus validation) and its training windows per second. Raises
     :class:`TrainDivergenceError` if any loss goes non-finite, and
     ``ValueError`` if the dataset has no training or validation windows.
     """
@@ -327,7 +314,6 @@ def train(
         raise ValueError("dataset has no validation windows")
     if epochs < 0 or batch < 1 or patience < 0:
         raise ValueError("need epochs >= 0, batch >= 1, patience >= 0")
-    started = time.perf_counter()
     rng = np.random.default_rng(model.config.seed)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     moment1 = {k: np.zeros_like(t.data) for k, t in model.params.items()}
@@ -339,6 +325,7 @@ def train(
     stale = 0
 
     for epoch in range(epochs):
+        started = time.perf_counter()
         order = rng.permutation(len(dataset.train))
         # window-indexed so the epoch mean is independent of shuffle order
         epoch_se = np.zeros(len(order))
@@ -378,10 +365,12 @@ def train(
         report.val_mse.append(val_mse)
         report.val_mae.append(val_mae)
         report.epochs_run = epoch + 1
+        report.epoch_seconds.append(time.perf_counter() - started)
         if log is not None:
             log(
                 f"epoch {epoch}: train_mse={report.train_mse[-1]:.6f} "
-                f"val_mse={val_mse:.6f}"
+                f"val_mse={val_mse:.6f} {report.epoch_seconds[-1]:.2f}s "
+                f"{len(order) / report.epoch_seconds[-1]:.1f} windows/s"
             )
         if not math.isfinite(val_mse):
             raise TrainDivergenceError(
@@ -404,7 +393,6 @@ def train(
             model.params[name] = Tensor._wrap(arr)
     if dataset.test:
         report.test_mse, report.test_mae = evaluate(model, dataset.test)
-    report.wall_seconds = time.perf_counter() - started
     return report
 
 

@@ -30,7 +30,6 @@ __all__ = [
     "DegenerateRowError",
     "OpCounter",
     "op_counter",
-    "reset_op_counter",
     "matmul_batched",
     "softmax_lastdim",
     "masked_softmax",
@@ -135,36 +134,21 @@ def op_counter() -> OpCounter:
     return _COUNTER
 
 
-def reset_op_counter() -> None:
-    _COUNTER.reset()
-
-
-def _as_batched(t: Tensor) -> tuple[np.ndarray, bool]:
-    """View a rank-2 tensor as batch size 1; report whether it was 2-D."""
-    if t.ndim == 2:
-        return t.data[np.newaxis], True
-    if t.ndim == 3:
-        return t.data, False
-    raise DimensionError(f"matmul operand must be rank 2 or 3, got shape {t.shape}")
-
-
 def matmul_batched(a: Tensor, b: Tensor) -> Tensor:
-    """Batched matrix product on the last two axes.
+    """Matrix product on the last two axes, batched over a leading one.
 
-    Rank-2 operands are treated as batch size 1 (and the result is rank 2
-    when both are). Counts s*p*r dot products into the module counter.
+    Both operands are rank 2, or both rank 3 with equal batch extents.
+    Counts one dot product per output element into the module counter.
     """
-    aa, a2d = _as_batched(a)
-    bb, b2d = _as_batched(b)
-    if aa.shape[0] != bb.shape[0]:
+    if a.ndim != b.ndim or a.ndim not in (2, 3):
+        raise DimensionError(f"matmul operands must both be rank 2 or both rank 3, "
+                             f"got {a.shape} vs {b.shape}")
+    if a.shape[:-2] != b.shape[:-2]:
         raise DimensionError(f"batch extents disagree: {a.shape} vs {b.shape}")
-    if aa.shape[2] != bb.shape[1]:
+    if a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"inner extents disagree: {a.shape} vs {b.shape}")
-    s, p, r = aa.shape[0], aa.shape[1], bb.shape[2]
-    _COUNTER.dot_products += s * p * r
-    out = np.matmul(aa, bb)
-    if a2d and b2d:
-        out = out[0]
+    out = np.matmul(a.data, b.data)
+    _COUNTER.dot_products += out.size
     return Tensor._wrap(out)
 
 
@@ -286,8 +270,6 @@ def concat_axis0(blocks: Sequence[Tensor]) -> Tensor:
             raise DimensionError(
                 f"trailing extents disagree: {b.shape[-1]} vs {width}"
             )
-    if len(blocks) == 1:
-        return Tensor._wrap(blocks[0].data.copy())
     return Tensor._wrap(np.concatenate([b.data for b in blocks], axis=0))
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from .attention import _multi_head, _resolve_inner, band_mask, full_attention
 from .attention import masked_full_attention_oracle, permute_rows
 from .autodiff import Graph, finite_diff_grad
-from .data import Scaler, WindowedDataset
+from .data import mse
 from .lam import LamCounters, _lam_attention, local_mask
 from .model import ForecastModel, ModelConfig
 from . import tensor
@@ -65,6 +65,15 @@ _STRUCTURED_CASES = (
 )
 
 
+def _cases(trials: int, rng, n_max: int) -> list[tuple[int, int]]:
+    """The structured (n, window) cases, then random ones with n in [2, n_max]."""
+    cases = list(_STRUCTURED_CASES[: max(0, trials)])
+    while len(cases) < trials:
+        n = int(rng.integers(2, n_max + 1))
+        cases.append((n, int(rng.integers(1, n + 1))))
+    return cases
+
+
 def suite_oracle_equivalence(
     trials: int = 200,
     seed: int = 0,
@@ -81,10 +90,7 @@ def suite_oracle_equivalence(
     if trials == 0:
         return _vacuous(name)
     rng = np.random.default_rng(seed)
-    cases = list(_STRUCTURED_CASES[: max(0, trials)])
-    while len(cases) < trials:
-        n = int(rng.integers(2, 129))
-        cases.append((n, int(rng.integers(1, n + 1))))
+    cases = _cases(trials, rng, 128)
 
     worst = 0.0
     worst_case = None
@@ -130,10 +136,7 @@ def suite_counting(trials: int = 40, seed: int = 0) -> SuiteResult:
     if trials == 0:
         return _vacuous(name)
     rng = np.random.default_rng(seed)
-    cases = list(_STRUCTURED_CASES[: max(0, trials)])
-    while len(cases) < trials:
-        n = int(rng.integers(2, 257))
-        cases.append((n, int(rng.integers(1, n + 1))))
+    cases = _cases(trials, rng, 256)
 
     failures = []
     for n, window in cases:
@@ -350,7 +353,7 @@ def _op_cases(rng):
     ]
 
 
-def _check_op(x: Tensor, build_loss, tol: float) -> float:
+def _check_op(x: Tensor, build_loss) -> float:
     g = Graph()
     node = g.parameter(x)
     loss = build_loss(g, node)
@@ -379,10 +382,11 @@ class _PreActProbe:
         self.min_abs_pre = math.inf
 
     def affine(self, x, w, b, alpha=None):
-        if alpha is not None:
-            pre = x.data @ w.data + b.data
-            self.min_abs_pre = min(self.min_abs_pre, float(np.abs(pre).min()))
-        return tensor.affine(x, w, b, alpha)
+        pre = tensor.affine(x, w, b)
+        if alpha is None:
+            return pre
+        self.min_abs_pre = min(self.min_abs_pre, float(np.abs(pre.data).min()))
+        return Tensor._wrap(tensor._leaky(pre.data, alpha))
 
     def __getattr__(self, name):
         return getattr(tensor, name)
@@ -410,7 +414,7 @@ def _smooth_model_point(kind: str, seed: int):
     raise RuntimeError("could not find a kink-free gradient-check point")
 
 
-def _check_model(kind: str, seed: int, tol: float) -> float:
+def _check_model(kind: str, seed: int) -> float:
     model, x, y = _smooth_model_point(kind, seed)
 
     g = Graph()
@@ -423,9 +427,7 @@ def _check_model(kind: str, seed: int, tol: float) -> float:
         def f(t: Tensor, _name=name) -> float:
             model.params[_name] = t
             try:
-                pred = model.forward(x)
-                diff = pred.data - y.data
-                return float(np.mean(diff * diff))
+                return mse(model.forward(x), y)
             finally:
                 model.params[_name] = baseline[_name]
 
@@ -443,14 +445,14 @@ def suite_gradients(trials: int = 20, seed: int = 0, tol: float = 1e-6) -> Suite
     for trial in range(trials):
         rng = np.random.default_rng(seed + 1000 * trial)
         for op_name, x, build_loss in _op_cases(rng):
-            err = _check_op(x, build_loss, tol)
+            err = _check_op(x, build_loss)
             if err > worst_op[1]:
                 worst_op = (op_name, err)
 
     worst_model = ("", 0.0)
     for trial in range(trials):
         for kind in ("full", "lam"):
-            err = _check_model(kind, seed + trial, tol)
+            err = _check_model(kind, seed + trial)
             if err > worst_model[1]:
                 worst_model = (kind, err)
 

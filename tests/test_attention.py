@@ -94,6 +94,9 @@ class TestFullAttention:
             full_attention(
                 Tensor.zeros((3, 2)), Tensor.zeros((3, 2)), Tensor.zeros((2, 1))
             )
+        empty = Tensor.zeros((3, 0))  # zero-width q and k
+        with pytest.raises(DimensionError, match="at least one column"):
+            full_attention(empty, empty, Tensor.zeros((3, 1)))
 
     def test_generic_path_bitwise_equals_fused(self):
         rng = np.random.default_rng(11)

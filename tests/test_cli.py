@@ -134,7 +134,7 @@ class TestBenchCommand:
 class TestResolveBand:
     def test_rules(self):
         assert resolve_band("4ceil", 256) == 32
-        assert resolve_band("ceil4", 100) == 27
+        assert resolve_band("4ceil", 100) == 28
         assert resolve_band("fixed:32", 512) == 32
         assert resolve_band("fixed:32", 8) == 8  # clamped to n
 
@@ -143,6 +143,8 @@ class TestResolveBand:
             resolve_band("fixed:0", 16)
         with pytest.raises(ValueError):
             resolve_band("quadratic", 16)
+        with pytest.raises(ValueError, match="ceil4"):
+            resolve_band("ceil4", 100)
 
 
 class TestParseConfig:
@@ -200,6 +202,7 @@ class TestTrainCommand:
         assert main(argv) == 0
         stdout = capsys.readouterr().out
         assert "test mse" in stdout and "baseline" in stdout
+        assert stdout.count(" windows/s") == 2  # one throughput line per epoch
 
         with open(out / "loss.csv") as handle:
             rows = list(csv.reader(handle))
@@ -424,13 +427,20 @@ class TestMainPlumbing:
         assert captured.out == "" and not out.exists()
         assert captured.err.startswith("error: ") and "'prob'" in captured.err
 
+    # bad flag values of the other commands -> text the error line must contain
+    FLAG_CASES = {
+        "bench --d-model 0": "(64, 0)",
+        "bench --l-rule ceil4": "'ceil4'",
+        "verify --trials -5": "--trials",
+    }
+
     @pytest.mark.parametrize("case", [
         "data-is-a-directory", "input-is-a-directory", "non-utf8-csv", "oversized-csv-field",
         "lr=nan", "lr=0", "epochs=-1", "batch=0", "h=0", "bandmass-heads=0",
-        "no-validation-windows",
+        "no-validation-windows", *FLAG_CASES,
     ])
     def test_bad_input_exits_2_with_one_error_line(self, tmp_path, capsys, case):
-        """Bad paths, config values and splits: exit 2, one line naming the culprit."""
+        """Bad paths, config and flag values, splits: exit 2, one line naming the culprit."""
         argv, out = tiny_train_args(tmp_path)
         quiet = True  # nothing printed before the error
         if case.endswith("is-a-directory"):
@@ -453,6 +463,10 @@ class TestMainPlumbing:
             argv, out = tiny_train_args(tmp_path, h="0")
             if case.startswith("bandmass"):
                 argv = ["bandmass", "--heads", "0", "--out", str(out)]
+        elif case in self.FLAG_CASES:
+            culprit, argv = self.FLAG_CASES[case], case.split()
+            if argv[0] == "bench":
+                argv += ["--n-list", "64", "--repeats", "5", "--out", str(out)]
         elif case == "no-validation-windows":
             culprit, quiet = "no validation windows", False
             argv = ["train", "--samples", "400", "--out", str(out)]  # n=96 default

@@ -285,6 +285,9 @@ class TestKernel:
             lam_forward(z, z, Tensor.zeros((3, 2)), 2)
         with pytest.raises(ValueError):
             lam_forward(z, z, z, 5)
+        empty = Tensor.zeros((4, 0))  # zero-width q and k
+        with pytest.raises(DimensionError, match="at least one column"):
+            lam_forward(empty, empty, z, 2)
 
     def test_randomized_against_oracle(self):
         rng = np.random.default_rng(18)
@@ -311,18 +314,10 @@ class TestDefaultWindow:
         assert default_window(2**29) == 4 * 29
 
     def test_non_power_rounds_up(self):
-        # log2(1000) = 9.97, ceil -> 10, times 4
+        # log2(1000) = 9.97, ceil -> 10, times 4; log2(100) = 6.64 -> 28
         assert default_window(1000) == 40
-
-    def test_rule_variants_differ(self):
-        # log2(100) = 6.64: 4*ceil -> 28, ceil(4*.) -> 27
-        assert default_window(100, rule="4ceil") == 28
-        assert default_window(100, rule="ceil4") == 27
+        assert default_window(100) == 28
 
     def test_clamped_to_n(self):
         assert default_window(2) == 2
         assert default_window(4) == 4
-
-    def test_unknown_rule(self):
-        with pytest.raises(ValueError):
-            default_window(8, rule="fixed")

@@ -14,7 +14,6 @@ from localattn.model import (
     ForecastModel,
     ModelConfig,
     TrainDivergenceError,
-    count_parameters,
     evaluate,
     load_checkpoint,
     positional_encoding,
@@ -273,7 +272,7 @@ class TestKernelInterchangeability:
 class TestParameterCounting:
     def test_doubling_layers_adds_constant_per_layer_cost(self):
         counts = [
-            count_parameters(ForecastModel(tiny_config(num_layers=depth)))
+            sum(t.size for t in ForecastModel(tiny_config(num_layers=depth)).params.values())
             for depth in (1, 2, 3)
         ]
         per_layer = counts[1] - counts[0]
@@ -331,6 +330,16 @@ class TestTrain:
         assert report.stopped_early
         assert report.epochs_run == 4  # epoch 0 best, then 3 stale epochs
         assert report.best_epoch == 0
+
+    def test_reports_epoch_seconds_and_throughput(self):
+        dataset = constant_target_dataset()
+        lines = []
+        report = train(ForecastModel(tiny_config()), dataset, epochs=10, lr=0.0, batch=3,
+                       patience=2, log=lines.append)
+        assert report.stopped_early
+        assert len(report.epoch_seconds) == report.epochs_run == len(lines)
+        assert all(seconds > 0 for seconds in report.epoch_seconds)
+        assert all(line.endswith(" windows/s") for line in lines)
 
     def test_best_epoch_parameters_restored(self):
         dataset = constant_target_dataset()

@@ -19,7 +19,6 @@ from localattn.tensor import (
     masked_softmax,
     matmul_batched,
     op_counter,
-    reset_op_counter,
     reshape,
     rows,
     scale,
@@ -95,13 +94,18 @@ class TestMatmulBatched:
         with pytest.raises(DimensionError):
             matmul_batched(a, b)
 
+    @pytest.mark.parametrize("a_shape, b_shape", [((2, 3), (1, 3, 4)), ((1, 2, 3), (3, 4))])
+    def test_mixed_ranks_rejected(self, a_shape, b_shape):
+        with pytest.raises(DimensionError, match="both be rank 2 or both rank 3"):
+            matmul_batched(Tensor(np.ones(a_shape)), Tensor(np.ones(b_shape)))
+
     def test_counter_counts_s_p_r(self):
-        reset_op_counter()
+        op_counter().reset()
         matmul_batched(Tensor(np.zeros((3, 4, 5))), Tensor(np.zeros((3, 5, 7))))
         assert op_counter().dot_products == 3 * 4 * 7
 
     def test_counter_accumulates(self):
-        reset_op_counter()
+        op_counter().reset()
         a, b = Tensor(np.eye(2)), Tensor(np.eye(2))
         matmul_batched(a, b)
         matmul_batched(a, b)
@@ -340,7 +344,7 @@ class TestAffine:
             affine(Tensor([[1.0]]), Tensor([[1.0]]), Tensor([0.0, 0.0]))
 
     def test_counted_through_chokepoint(self):
-        reset_op_counter()
+        op_counter().reset()
         affine(Tensor(np.ones((4, 3))), Tensor(np.ones((3, 2))), Tensor(np.zeros(2)))
         assert op_counter().dot_products == 4 * 2
 

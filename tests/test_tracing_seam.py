@@ -4,7 +4,7 @@
 ``localattn.lam`` and ``localattn.model`` by string and cuts a kernel call
 into stages at its two block matmuls. A rename or a reordering there breaks
 the traced benchmark without failing any other test; this runs the tracer
-over one kernel call and runs the two model workloads traced for a second.
+over one kernel call and runs every workload traced for a second.
 """
 
 import importlib
@@ -44,13 +44,16 @@ def test_traced_kernel_call_keeps_counts_and_stages(tracing):
         assert acc[f"lam.stage_ns.{stage}"] > 0, stage
 
 
-@pytest.mark.parametrize("name", ["train_toy", "forecast_eval"])
+@pytest.mark.parametrize("name", ["train_toy", "forecast_eval", "kernel_long"])
 def test_traced_model_workload_gives_a_strict_json_result(tracing, name):
     workloads = importlib.import_module("workloads")
     result = workloads.run(name, 7, 1.0, True)["result"]
     json.dumps(result, allow_nan=False)  # a NaN metric would not be a result
     metrics = {key: entry["value"] for key, entry in result["metrics"].items()}
     assert result["correct"] and result["failed"] == 0
+    if name == "kernel_long":  # lam_forward alone: no model, no attention blocks
+        assert metrics["lam.calls_per_window"] == 1
+        return
     assert metrics["attention.block_ms.enc0"] > 0
     if name == "train_toy":
         assert metrics["autodiff.tape_nodes_per_window"] > 0
