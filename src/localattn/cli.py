@@ -27,7 +27,7 @@ from .data import (
     synth_series,
     write_manifest,
 )
-from .lam import LamCounters, default_window, lam_forward
+from .lam import LamCounters, default_window, lam_forward, score_counts
 from .model import (
     ForecastModel,
     ModelConfig,
@@ -92,8 +92,6 @@ DEFAULT_CONFIG = {
 
 
 def cmd_verify(args) -> int:
-    if args.trials < 0:
-        raise ValueError(f"--trials must be >= 0, got {args.trials}")
     results = run_all(
         trials=args.trials, seed=args.seed, inject_fault=args.inject_fault is not None
     )
@@ -145,8 +143,8 @@ def _estimated_bytes(mechanism: str, n: int, window: int, d: int) -> int:
     if mechanism == "full":
         return n * n * 8 + operands
     if mechanism == "lam":
-        s = max(n // window, 1)
-        return s * window * (2 * window - 1) * 8 + 2 * s * (2 * window - 1) * d * 8 + operands
+        peak = score_counts(n, window)[1]  # plus the key and value slabs' rows
+        return peak * 8 + 2 * (peak // window) * d * 8 + operands
     u = sample_count(n)
     return 2 * n * u * 8 + operands
 
@@ -245,6 +243,8 @@ def cmd_bench(args) -> int:
         raise ValueError(f"--mechanisms must name full, lam and/or prob, got {args.mechanisms!r}")
     if args.repeats < 5:
         raise ValueError(f"--repeats must be >= 5 for a stable median, got {args.repeats}")
+    if args.d_model < 1:
+        raise ValueError(f"--d-model must be >= 1, got {args.d_model}")
 
     records, skipped = bench_records(
         n_list, mechanisms, args.l_rule, args.repeats, args.d_model, args.seed
@@ -331,6 +331,7 @@ def cmd_train(args) -> int:
         config.update(parse_config(args.config))
     if args.seed is not None:
         config["seed"] = args.seed
+    _check_out_dir(args.out)
 
     raw = _load_series(args.data, args.samples, args.d_features, config["seed"])
     dataset = standardize_split_window(
@@ -490,7 +491,7 @@ def cmd_forecast(args) -> int:
     pred = model.forward(Tensor._wrap(window))
     out_values = scaler.inverse(pred.data)
     names = list(raw.feature_names)  # header matches the input file's features
-    with open(args.out, "w", newline="") as handle:
+    with _open_out(args.out) as handle:
         writer = csv.writer(handle)
         writer.writerow(names)
         for row in out_values:
@@ -502,11 +503,28 @@ def cmd_forecast(args) -> int:
 # -- plumbing ---------------------------------------------------------------------
 
 
+def _open_out(path: str):
+    """``path`` opened for writing; a path that cannot be opened is bad input."""
+    try:
+        return open(path, "w", newline="")
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc}")
+
+
+def _check_out_dir(path: str) -> None:
+    """Reject an output directory that cannot be made, before any work runs."""
+    head = os.path.abspath(path)
+    while not os.path.exists(head):
+        head = os.path.dirname(head)
+    if not os.path.isdir(head):
+        raise ValueError(f"--out {path}: {head} exists and is not a directory")
+
+
 def _write_or_print(lines, path: str | None, message: str) -> None:
     """Write the lines to ``path`` and print ``message``, or print the lines."""
     text = "\n".join(lines) + "\n"
     if path:
-        with open(path, "w") as handle:
+        with _open_out(path) as handle:
             handle.write(text)
         print(message)
     else:

@@ -22,7 +22,8 @@ band, so the mask holds at most two blocks, O(window^2) at any n, and
 ``masked_softmax`` adds it, scales and normalizes in one owned score
 buffer. Rows past s*window (when window does not divide n) run as one
 direct masked slab: a ``rows`` slice of the queries against the last
-window-1+remainder keys.
+window-1+remainder keys. :func:`score_counts` is the closed form of the
+work this layout does, the one copy every count check compares against.
 
 The blocks and the slab both attend through
 :func:`localattn.attention._full_attention`, which also keeps the
@@ -43,6 +44,7 @@ from .tensor import Tensor
 
 __all__ = [
     "LamCounters",
+    "score_counts",
     "local_mask",
     "lam_forward",
     "default_window",
@@ -75,6 +77,19 @@ class LamCounters:
         self.dot_products = 0
         self.peak_score_elements = 0
         self._live = 0
+
+
+def score_counts(n: int, window: int) -> tuple[int, int]:
+    """(dot_products, peak_score_elements) that one kernel call counts.
+
+    The s = floor(n / window) blocks hold s*window*(2*window-1) scores; the
+    rem = n mod window trailing rows add rem*(rem+window-1) more, after the
+    block scores are freed, so the blocks alone set the peak.
+    """
+    _check_window(n, window)
+    s, rem = divmod(n, window)
+    blocked = s * window * (2 * window - 1)
+    return blocked + rem * (rem + window - 1), blocked
 
 
 def local_mask(s: int, window: int, pad_guard: bool = True) -> Tensor:

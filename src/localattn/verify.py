@@ -18,7 +18,7 @@ from .attention import _multi_head, _resolve_inner, band_mask, full_attention
 from .attention import masked_full_attention_oracle, permute_rows
 from .autodiff import Graph, finite_diff_grad
 from .data import mse
-from .lam import LamCounters, _lam_attention, local_mask
+from .lam import LamCounters, _lam_attention, score_counts
 from .model import ForecastModel, ModelConfig
 from . import tensor
 from .tensor import Tensor
@@ -45,6 +45,13 @@ def _vacuous(name: str) -> SuiteResult:
     return SuiteResult(name, True, "0 cases requested; vacuous pass (warning)")
 
 
+def _none_requested(label: str, count: int) -> bool:
+    """True for a zero case count (a vacuous pass); a negative one is a ValueError."""
+    if count < 0:
+        raise ValueError(f"{label} must be >= 0, got {count}")
+    return count == 0
+
+
 # -- oracle equivalence ----------------------------------------------------
 
 # always-exercised shapes: divisible, non-divisible, L=1, L=n, n<2L,
@@ -67,7 +74,7 @@ _STRUCTURED_CASES = (
 
 def _cases(trials: int, rng, n_max: int) -> list[tuple[int, int]]:
     """The structured (n, window) cases, then random ones with n in [2, n_max]."""
-    cases = list(_STRUCTURED_CASES[: max(0, trials)])
+    cases = list(_STRUCTURED_CASES[:trials])
     while len(cases) < trials:
         n = int(rng.integers(2, n_max + 1))
         cases.append((n, int(rng.integers(1, n + 1))))
@@ -87,7 +94,7 @@ def suite_oracle_equivalence(
     to rows i < window-1, the zero-padded key zone).
     """
     name = "oracle-equivalence"
-    if trials == 0:
+    if _none_requested("trials", trials):
         return _vacuous(name)
     rng = np.random.default_rng(seed)
     cases = _cases(trials, rng, 128)
@@ -131,9 +138,14 @@ def suite_oracle_equivalence(
 
 
 def suite_counting(trials: int = 40, seed: int = 0) -> SuiteResult:
-    """Exact dot-product and peak-score-memory accounting vs closed forms."""
+    """Exact dot-product and peak-score-memory accounting vs closed forms.
+
+    Every kernel call must count exactly :func:`localattn.lam.score_counts`,
+    ragged n included, and stay within (2L-1)(n+L) dot products; the
+    quadratic reference must count n^2 of each.
+    """
     name = "counting"
-    if trials == 0:
+    if _none_requested("trials", trials):
         return _vacuous(name)
     rng = np.random.default_rng(seed)
     cases = _cases(trials, rng, 256)
@@ -145,16 +157,11 @@ def suite_counting(trials: int = 40, seed: int = 0) -> SuiteResult:
         v = Tensor._wrap(rng.normal(size=(n, 2)))
         counters = LamCounters()
         _lam_attention(tensor, q, k, v, window, counters=counters)
-        s = n // window
-        if n % window == 0:
-            if counters.dot_products != (2 * window - 1) * n:
-                failures.append(f"dot n={n} L={window}: {counters.dot_products}")
-        else:
-            bound = (2 * window - 1) * (n + window)
-            if counters.dot_products > bound:
-                failures.append(f"dot-bound n={n} L={window}: {counters.dot_products}")
-        if counters.peak_score_elements != s * window * (2 * window - 1):
-            failures.append(f"peak n={n} L={window}: {counters.peak_score_elements}")
+        got = (counters.dot_products, counters.peak_score_elements)
+        if got != score_counts(n, window):
+            failures.append(f"dot, peak n={n} L={window}: {got} != {score_counts(n, window)}")
+        if counters.dot_products > (2 * window - 1) * (n + window):
+            failures.append(f"dot-bound n={n} L={window}: {counters.dot_products}")
 
         oracle_counters = LamCounters()
         full_attention(q, k, v, band_mask(n, window), counters=oracle_counters)
@@ -175,46 +182,36 @@ def suite_counting(trials: int = 40, seed: int = 0) -> SuiteResult:
 def suite_masking(trials: int = 25, seed: int = 0, tol: float = 1e-12) -> SuiteResult:
     """Softmax rows sum to one and masked slots are exactly zero.
 
-    Checked on both score layouts: the n x n banded matrix and the
-    blocked s x L x (2L-1) tensor the kernel actually materializes.
+    Checked on the n x n banded matrix and on every weight tensor the
+    blocked kernel produces as it runs (its score blocks and its
+    trailing-row slab), each against the mask it was normalized under.
     """
     name = "masking"
-    if trials == 0:
+    if _none_requested("trials", trials):
         return _vacuous(name)
     rng = np.random.default_rng(seed)
     worst_sum = 0.0
     nonzero_masked = 0
-    cases = 0
     for _ in range(trials):
         n = int(rng.integers(2, 65))
         window = int(rng.integers(1, n + 1))
         d_q = int(rng.integers(1, 9))
         q = Tensor._wrap(rng.normal(size=(n, d_q)))
         k = Tensor._wrap(rng.normal(size=(n, d_q)))
-        inv_sqrt = 1.0 / math.sqrt(d_q)
 
-        mask = band_mask(n, window)
+        probe = _PreActProbe()
         scores = tensor.matmul_batched(q, tensor.transpose_last2(k))
-        probs = tensor.masked_softmax(scores, mask, inv_sqrt)
-        worst_sum = max(worst_sum, float(np.abs(probs.data.sum(axis=1) - 1.0).max()))
-        nonzero_masked += int(np.count_nonzero(probs.data[np.isneginf(mask.data)]))
-
-        s = n // window
-        if s >= 1:
-            t_q = tensor.row_blocks(q, window, window)
-            t_k = tensor.row_blocks(k, window, 2 * window - 1)
-            t_m = local_mask(s, window)
-            t_a = tensor.matmul_batched(t_q, tensor.transpose_last2(t_k))
-            t_s = tensor.masked_softmax(t_a, t_m, inv_sqrt)
-            worst_sum = max(worst_sum, float(np.abs(t_s.data.sum(axis=2) - 1.0).max()))
-            # the compact mask's last block covers every later score block
-            per_block = t_m.data[np.minimum(np.arange(s), len(t_m.data) - 1)]
-            nonzero_masked += int(np.count_nonzero(t_s.data[np.isneginf(per_block)]))
-        cases += 1
+        probe.masked_softmax(scores, band_mask(n, window), 1.0 / math.sqrt(d_q))
+        _lam_attention(probe, q, k, q, window)  # the weights do not depend on v
+        for weights, mask in probe.softmaxes:
+            w = weights.data
+            worst_sum = max(worst_sum, float(np.abs(w.sum(axis=-1) - 1.0).max()))
+            dropped = np.isneginf(tensor._plus_mask(np.zeros_like(w), mask.data))
+            nonzero_masked += int(np.count_nonzero(w[dropped]))
 
     passed = worst_sum <= tol and nonzero_masked == 0
     detail = (
-        f"{cases} cases, worst |rowsum-1| = {worst_sum:.3e} (tol {tol:.0e}), "
+        f"{trials} cases, worst |rowsum-1| = {worst_sum:.3e} (tol {tol:.0e}), "
         f"nonzero masked slots = {nonzero_masked}"
     )
     return SuiteResult(name, passed, detail)
@@ -236,7 +233,7 @@ def suite_equivariance(permutations: int = 10, seed: int = 0) -> SuiteResult:
     10 trials (a permutation could in principle preserve the band).
     """
     name = "equivariance"
-    if permutations == 0:
+    if _none_requested("permutations", permutations):
         return _vacuous(name)
     rng = np.random.default_rng(seed)
     n, d, heads, d_head, window = 24, 8, 2, 4, 4
@@ -370,16 +367,23 @@ def _check_op(x: Tensor, build_loss) -> float:
 
 
 class _PreActProbe:
-    """Eager ops wrapper recording how close activations come to the kink.
+    """Eager ops wrapper recording activation kink margins and softmax weights.
 
     Central differences are only valid where the function is smooth
     within the step, so model gradient checks are run at points whose
     leaky-ReLU pre-activations all clear the kink by a safe margin;
-    draws that land too close are resampled.
+    draws that land too close are resampled. The masking suite checks
+    the recorded softmax weights.
     """
 
     def __init__(self):
         self.min_abs_pre = math.inf
+        self.softmaxes = []  # (weights, mask) of each call, in call order
+
+    def masked_softmax(self, scores, mask, c):
+        weights = tensor.masked_softmax(scores, mask, c)
+        self.softmaxes.append((weights, mask))
+        return weights
 
     def affine(self, x, w, b, alpha=None):
         pre = tensor.affine(x, w, b)
@@ -439,7 +443,7 @@ def _check_model(kind: str, seed: int) -> float:
 def suite_gradients(trials: int = 20, seed: int = 0, tol: float = 1e-6) -> SuiteResult:
     """Analytic gradients vs central finite differences, per op and full model."""
     name = "gradients"
-    if trials == 0:
+    if _none_requested("trials", trials):
         return _vacuous(name)
     worst_op = ("", 0.0)
     for trial in range(trials):
@@ -467,7 +471,7 @@ def suite_gradients(trials: int = 20, seed: int = 0, tol: float = 1e-6) -> Suite
 
 def run_all(trials: int = 200, seed: int = 0, inject_fault: bool = False):
     """Every suite in a fixed order, case counts derived from ``trials``."""
-    grad_trials = 0 if trials == 0 else min(20, max(1, trials // 10))
+    grad_trials = 0 if _none_requested("trials", trials) else min(20, max(1, trials // 10))
     return [
         suite_oracle_equivalence(trials, seed, inject_fault=inject_fault),
         suite_counting(min(trials, 40), seed),

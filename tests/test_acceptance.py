@@ -1,15 +1,17 @@
 """Acceptance gate: one test and one printed PASS/FAIL line per criterion.
 
 Run with ``pytest -s tests/test_acceptance.py -v`` to see the lines as
-they complete. The slow entries are criterion 3 (timing sweep up to
-n=16384) and criterion 7 (two toy training runs); everything else is
-seconds. Budgets asserted here are wall-clock on a plain CPU box.
+they complete. The slow entries, marked ``slow``, are criterion 3
+(timing sweep up to n=16384) and criterion 7 (two toy training runs);
+everything else is seconds. Budgets asserted here are wall-clock on a
+plain CPU box.
 """
 
 import math
 import time
 
 import numpy as np
+import pytest
 
 from localattn.attention import (
     full_attention,
@@ -88,6 +90,7 @@ def test_criterion_2_operation_counting():
     report(2, "operation-counting", ok, f"{result.detail}; spot checks exact")
 
 
+@pytest.mark.slow
 def test_criterion_3_scaling_slopes():
     t0 = time.perf_counter()
     records, skipped = bench_records(
@@ -158,6 +161,7 @@ def test_criterion_6_masking_and_fault_injection():
     )
 
 
+@pytest.mark.slow
 def test_criterion_7_toy_forecasting():
     t0 = time.perf_counter()
     raw = synth_series("sines", 20000, d=3, seed=42)

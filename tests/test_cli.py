@@ -429,15 +429,17 @@ class TestMainPlumbing:
 
     # bad flag values of the other commands -> text the error line must contain
     FLAG_CASES = {
-        "bench --d-model 0": "(64, 0)",
+        "bench --d-model 0": "--d-model must be >= 1",
+        "bench --d-model -1": "--d-model must be >= 1",
         "bench --l-rule ceil4": "'ceil4'",
-        "verify --trials -5": "--trials",
+        "verify --trials -5": "trials must be >= 0",
     }
 
     @pytest.mark.parametrize("case", [
         "data-is-a-directory", "input-is-a-directory", "non-utf8-csv", "oversized-csv-field",
         "lr=nan", "lr=0", "epochs=-1", "batch=0", "h=0", "bandmass-heads=0",
-        "no-validation-windows", *FLAG_CASES,
+        "no-validation-windows", "out-bandmass", "out-forecast", "out-train-file",
+        *FLAG_CASES,
     ])
     def test_bad_input_exits_2_with_one_error_line(self, tmp_path, capsys, case):
         """Bad paths, config and flag values, splits: exit 2, one line naming the culprit."""
@@ -467,6 +469,17 @@ class TestMainPlumbing:
             culprit, argv = self.FLAG_CASES[case], case.split()
             if argv[0] == "bench":
                 argv += ["--n-list", "64", "--repeats", "5", "--out", str(out)]
+        elif case.startswith("out-"):  # an --out the command cannot write
+            culprit = str(tmp_path / "nodir" / "x.csv")
+            if case == "out-bandmass":
+                argv = ["bandmass", "--n", "16", "--out", culprit]
+            elif case == "out-forecast":
+                ckpt, data, _ = forecast_fixture(tmp_path)
+                argv = ["forecast", "--checkpoint", ckpt, "--input", data, "--out", culprit]
+            else:  # an existing file where train's output directory goes
+                culprit = str(tmp_path / "taken")
+                (tmp_path / "taken").write_text("")
+                argv[-1] = culprit
         elif case == "no-validation-windows":
             culprit, quiet = "no validation windows", False
             argv = ["train", "--samples", "400", "--out", str(out)]  # n=96 default

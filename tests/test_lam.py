@@ -8,8 +8,11 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from localattn.attention import masked_full_attention_oracle
 from localattn.autodiff import Graph
+import localattn.lam as lam
 from localattn.lam import LamCounters, _lam_attention, default_window, lam_forward, local_mask
+from localattn.lam import score_counts
 from localattn.tensor import DimensionError, Tensor, row_blocks
+from localattn.verify import suite_counting
 
 NEG_INF = float("-inf")
 
@@ -302,6 +305,39 @@ class TestKernel:
             want = masked_full_attention_oracle(q, k, v, window)
             worst = max(worst, float(np.max(np.abs(got.data - want.data))))
         assert worst <= 1e-10
+
+
+class TestScoreCounts:
+    @pytest.mark.parametrize("n, window, want", [
+        (12, 3, (60, 60)),
+        (8, 8, (120, 120)),
+        (13, 3, (63, 60)),
+        (9, 2, (26, 24)),
+        (96, 28, (5088, 4620)),  # the toy call: 12 trailing rows
+        (60000, 64, (7618976, 7615936)),
+    ])
+    def test_equals_counters(self, n, window, want):
+        q, k, v = random_qkv(np.random.default_rng(n), n, 2, 1)
+        c = LamCounters()
+        lam_forward(q, k, v, window, counters=c)
+        assert score_counts(n, window) == (c.dot_products, c.peak_score_elements) == want
+
+    def test_rejects_window_out_of_range(self):
+        with pytest.raises(ValueError, match="window"):
+            score_counts(4, 5)
+
+    def test_counting_suite_catches_one_extra_slab_product(self, monkeypatch):
+        core = lam._full_attention
+
+        def one_more(ops, q, k, v, mask=None, counters=None):
+            out = core(ops, q, k, v, mask, counters)
+            if counters is not None and ops.value(q).ndim == 2:  # the trailing slab
+                counters.dot_products += 1
+            return out
+
+        monkeypatch.setattr(lam, "_full_attention", one_more)
+        result = suite_counting(40, 0)
+        assert not result.passed and "dot, peak" in result.detail
 
 
 class TestDefaultWindow:
