@@ -228,16 +228,14 @@ class Graph:
         }
 
 
-def finite_diff_grad(
-    f: Callable[[Tensor], float], x: Tensor, h: float = 1e-5
-) -> Tensor:
-    """Central-difference gradient estimate, coordinate by coordinate.
+def finite_diff_grad(f: Callable[[Tensor], float], x: Tensor) -> Tensor:
+    """Central-difference gradient estimate at the fixed step h = 1e-5.
 
-    Independent of the tape: only evaluates ``f``. Raises if h <= 0 or an
-    evaluation comes back non-finite.
+    Coordinate by coordinate, (f(x + h e_i) - f(x - h e_i)) / 2h.
+    Independent of the tape: only evaluates ``f``. Raises
+    ``ArithmeticError`` if an evaluation comes back non-finite.
     """
-    if h <= 0:
-        raise ValueError(f"step must be positive, got {h}")
+    h = 1e-5
     flat = x.data.reshape(-1)
     grad = np.zeros_like(flat)
     for i in range(flat.size):

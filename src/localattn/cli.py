@@ -245,6 +245,8 @@ def cmd_bench(args) -> int:
         raise ValueError(f"--repeats must be >= 5 for a stable median, got {args.repeats}")
     if args.d_model < 1:
         raise ValueError(f"--d-model must be >= 1, got {args.d_model}")
+    if args.out:
+        _check_out_file(args.out)
 
     records, skipped = bench_records(
         n_list, mechanisms, args.l_rule, args.repeats, args.d_model, args.seed
@@ -473,10 +475,6 @@ def cmd_bandmass(args) -> int:
 
 def cmd_forecast(args) -> int:
     model, scaler, _ = load_checkpoint(args.checkpoint)
-    if scaler is None:
-        raise ValueError(
-            f"{args.checkpoint} carries no scaler; train via the CLI to embed one"
-        )
     raw = _read_csv(args.input)
     cfg = model.config
     if raw.d != cfg.d_features:
@@ -518,6 +516,12 @@ def _check_out_dir(path: str) -> None:
         head = os.path.dirname(head)
     if not os.path.isdir(head):
         raise ValueError(f"--out {path}: {head} exists and is not a directory")
+
+
+def _check_out_file(path: str) -> None:
+    """Reject an output file outside an existing directory, before any work runs."""
+    if os.path.isdir(path) or not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise ValueError(f"cannot write {path}: not a file in an existing directory")
 
 
 def _write_or_print(lines, path: str | None, message: str) -> None:

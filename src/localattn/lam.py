@@ -73,11 +73,6 @@ class LamCounters:
     def score_free(self, count: int) -> None:
         self._live = max(0, self._live - count)
 
-    def reset(self) -> None:
-        self.dot_products = 0
-        self.peak_score_elements = 0
-        self._live = 0
-
 
 def score_counts(n: int, window: int) -> tuple[int, int]:
     """(dot_products, peak_score_elements) that one kernel call counts.

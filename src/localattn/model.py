@@ -2,7 +2,7 @@
 
 The architecture is deliberately plain: affine embedding plus sinusoidal
 position signal, N encoder layers (multi-head self-attention, residual,
-two width-preserving projections with LeakyReLU), N decoder layers (the
+two width-preserving projections, LeakyReLU 0.01), N decoder layers (the
 same plus a second attention block against the encoder output), a feature
 projection back to the input width, and one final n -> m projection on
 the time axis that turns n processed steps into m forecast steps. No
@@ -53,7 +53,8 @@ __all__ = [
     "CHECKPOINT_VERSION",
 ]
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
+LEAKY_SLOPE = 0.01  # negative-side slope of every projection's LeakyReLU
 
 
 def positional_encoding(n: int, d_model: int) -> Tensor:
@@ -73,11 +74,12 @@ def positional_encoding(n: int, d_model: int) -> Tensor:
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Geometry of one forecaster and its attention kind, full or lam.
+    """Geometry of one forecaster, its attention kind (full or lam) and seed.
 
     ``window`` only matters for kind="lam" and defaults to the
     4*ceil(log2 n) rule. Each head is d_model / heads wide, so heads
-    must divide d_model.
+    must divide d_model. The LeakyReLU slope and the position signal are
+    fixed: :data:`LEAKY_SLOPE`, and :func:`positional_encoding` always added.
     """
 
     d_features: int
@@ -88,8 +90,6 @@ class ModelConfig:
     heads: int = 2
     kind: str = "lam"
     window: int | None = None
-    alpha: float = 0.01
-    use_pe: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -126,9 +126,7 @@ class ForecastModel:
 
     def __init__(self, config: ModelConfig):
         self.config = config
-        self.pe = (
-            positional_encoding(config.n, config.d_model) if config.use_pe else None
-        )
+        self.pe = positional_encoding(config.n, config.d_model)
         self.params: dict[str, Tensor] = {}
         rng = np.random.default_rng(config.seed)
         self._weight(rng, "embed.w", (config.d_features, config.d_model))
@@ -176,9 +174,8 @@ class ForecastModel:
         return _multi_head(ops, q, k, v, head_ws, p(f"{prefix}.wo"), inner)
 
     def _projections(self, ops, prefix: str, x, p):
-        a = self.config.alpha
-        h = ops.affine(x, p(f"{prefix}.ff1.w"), p(f"{prefix}.ff1.b"), a)
-        return ops.affine(h, p(f"{prefix}.ff2.w"), p(f"{prefix}.ff2.b"), a)
+        h = ops.affine(x, p(f"{prefix}.ff1.w"), p(f"{prefix}.ff1.b"), LEAKY_SLOPE)
+        return ops.affine(h, p(f"{prefix}.ff2.w"), p(f"{prefix}.ff2.b"), LEAKY_SLOPE)
 
     def _encoder_layer(self, ops, i: int, x, p, inner):
         attended = self._mh(ops, f"enc{i}", x, x, x, p, inner)
@@ -191,10 +188,7 @@ class ForecastModel:
         return self._projections(ops, f"dec{i}", ops.add(r1, cross), p)
 
     def _embed(self, ops, x, p):
-        stream = ops.affine(x, p("embed.w"), p("embed.b"))
-        if self.pe is not None:
-            stream = ops.add(stream, ops.constant(self.pe))
-        return stream
+        return ops.add(ops.affine(x, p("embed.w"), p("embed.b")), ops.constant(self.pe))
 
     def _encode(self, ops, stream, p, inner):
         enc = stream
@@ -232,7 +226,7 @@ class ForecastModel:
         )
 
     def encode(self, x: Tensor) -> Tensor:
-        """Embedding (+ position signal) and the encoder stack only."""
+        """Embedding plus position signal, and the encoder stack only."""
         self._check_input(x)
         p = lambda name: self.params[name]
         return self._encode(tensor, self._embed(tensor, x, p), p, self._inner())
@@ -399,14 +393,11 @@ def train(
 # -- checkpoints ----------------------------------------------------------
 
 
-def save_checkpoint(
-    model: ForecastModel,
-    path: str,
-    scaler: Scaler | None = None,
-    feature_names=None,
-) -> str:
-    """Write parameters plus a JSON manifest (config, shapes, scaler).
+def save_checkpoint(model: ForecastModel, path: str, scaler: Scaler, feature_names) -> str:
+    """Write parameters plus a JSON manifest (config, scaler, feature names).
 
+    Every checkpoint carries the scaler its model was trained under and
+    one name per feature, so it can forecast raw series on its own.
     Arrays are stored uncompressed at full precision, so a load followed
     by a forward is bitwise identical to the pre-save forward. Returns
     the path actually written (a ``.npz`` suffix is added if missing,
@@ -416,15 +407,9 @@ def save_checkpoint(
         "version": CHECKPOINT_VERSION,
         "config": asdict(model.config),
         "param_names": list(model.params),
-        "param_shapes": {k: list(t.shape) for k, t in model.params.items()},
+        "scaler": {"mean": scaler.mean.tolist(), "std": scaler.std.tolist()},
+        "feature_names": list(feature_names),
     }
-    if scaler is not None:
-        manifest["scaler"] = {
-            "mean": scaler.mean.tolist(),
-            "std": scaler.std.tolist(),
-        }
-    if feature_names is not None:
-        manifest["feature_names"] = list(feature_names)
     if not path.endswith(".npz"):
         path += ".npz"
     arrays = {name: t.data for name, t in model.params.items()}
@@ -439,26 +424,30 @@ class CheckpointError(ValueError):
 def load_checkpoint(path: str):
     """Rebuild (model, scaler, feature_names) from :func:`save_checkpoint`.
 
-    Scaler and feature_names are None when the checkpoint carries none.
     Raises :class:`CheckpointError` for a file that is not a complete
-    archive, a missing manifest entry or array, an invalid config (an
-    unknown key included), a version, name or shape mismatch, or a
-    non-finite value.
+    archive, a version other than :data:`CHECKPOINT_VERSION` (checked
+    first), a missing manifest entry or array, an invalid config (an
+    unknown key included), a name or shape mismatch, a non-finite value,
+    a scaler without one finite mean and positive deviation per feature,
+    or feature names that are not one string per feature.
     """
     try:
         with np.load(path, allow_pickle=False) as payload:
             arrays = {key: payload[key] for key in payload.files}
         manifest = json.loads(str(arrays.pop("__manifest__")[()]))
-        version, config, names = (manifest[key] for key in ("version", "config", "param_names"))
-        stats = manifest.get("scaler")
-        if stats is not None:
-            stats = [np.asarray(stats[key], dtype=np.float64) for key in ("mean", "std")]
+        version = manifest["version"]
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointError(f"checkpoint version {version} != {CHECKPOINT_VERSION}")
+        config, names, stats, feature_names = (
+            manifest[key] for key in ("config", "param_names", "scaler", "feature_names")
+        )
+        mean, std = (np.asarray(stats[key], dtype=np.float64) for key in ("mean", "std"))
+    except CheckpointError:
+        raise
     except KeyError as exc:
         raise CheckpointError(f"{path} has no {exc}") from exc
     except (OSError, EOFError, TypeError, ValueError, zipfile.BadZipFile, zlib.error) as exc:
         raise CheckpointError(f"{path} is not a readable checkpoint: {exc}") from exc
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"checkpoint version {version} != {CHECKPOINT_VERSION}")
     try:
         model = ForecastModel(ModelConfig(**config))
     except (TypeError, ValueError) as exc:
@@ -476,12 +465,12 @@ def load_checkpoint(path: str):
         if arr.dtype != np.float64 or not np.isfinite(arr).all():
             raise CheckpointError(f"parameter {name} is not finite float64")
         model.params[name] = Tensor(arr)
-    scaler = None
-    if stats is not None:
-        mean, std = stats
-        if not (mean.shape == std.shape == (model.config.d_features,)
-                and np.isfinite(mean).all() and np.isfinite(std).all() and (std > 0).all()):
-            raise CheckpointError("checkpoint scaler needs one finite mean and positive "
-                                  "deviation per feature")
-        scaler = Scaler(mean=mean, std=std)
-    return model, scaler, manifest.get("feature_names")
+    d = model.config.d_features
+    if not (mean.shape == std.shape == (d,)
+            and np.isfinite(mean).all() and np.isfinite(std).all() and (std > 0).all()):
+        raise CheckpointError("checkpoint scaler needs one finite mean and positive "
+                              "deviation per feature")
+    if not (isinstance(feature_names, list) and len(feature_names) == d
+            and all(isinstance(name, str) for name in feature_names)):
+        raise CheckpointError("checkpoint needs one string feature name per feature")
+    return model, Scaler(mean=mean, std=std), feature_names

@@ -122,9 +122,6 @@ class OpCounter:
 
     dot_products: int = 0
 
-    def reset(self) -> None:
-        self.dot_products = 0
-
 
 _COUNTER = OpCounter()
 

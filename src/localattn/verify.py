@@ -34,6 +34,14 @@ __all__ = [
 ]
 
 
+# fixed pass gates; a banded output moving by more than _TOL_BREAK is broken
+_TOL_ORACLE = 1e-10
+_TOL_ROWSUM = 1e-12
+_TOL_EQUI = 1e-10
+_TOL_GRAD = 1e-6
+_TOL_BREAK = 1e-3
+
+
 @dataclass(frozen=True)
 class SuiteResult:
     name: str
@@ -82,10 +90,7 @@ def _cases(trials: int, rng, n_max: int) -> list[tuple[int, int]]:
 
 
 def suite_oracle_equivalence(
-    trials: int = 200,
-    seed: int = 0,
-    inject_fault: bool = False,
-    tol: float = 1e-10,
+    trials: int = 200, seed: int = 0, inject_fault: bool = False
 ) -> SuiteResult:
     """Blocked kernel vs quadratic masked oracle over a randomized grid.
 
@@ -121,8 +126,8 @@ def suite_oracle_equivalence(
         if cut < n:
             worst_late = max(worst_late, float(dev_rows[cut:].max()))
 
-    passed = worst <= tol
-    detail = f"{len(cases)} cases, worst |dev| = {worst:.3e} (tol {tol:.0e})"
+    passed = worst <= _TOL_ORACLE
+    detail = f"{len(cases)} cases, worst |dev| = {worst:.3e} (tol {_TOL_ORACLE:.0e})"
     if worst_case is not None and not passed:
         n, window, d_q, d_v = worst_case
         detail += f" at n={n} window={window} d_q={d_q} d_v={d_v}"
@@ -179,7 +184,7 @@ def suite_counting(trials: int = 40, seed: int = 0) -> SuiteResult:
 # -- masking semantics -------------------------------------------------------
 
 
-def suite_masking(trials: int = 25, seed: int = 0, tol: float = 1e-12) -> SuiteResult:
+def suite_masking(trials: int = 25, seed: int = 0) -> SuiteResult:
     """Softmax rows sum to one and masked slots are exactly zero.
 
     Checked on the n x n banded matrix and on every weight tensor the
@@ -209,21 +214,15 @@ def suite_masking(trials: int = 25, seed: int = 0, tol: float = 1e-12) -> SuiteR
             dropped = np.isneginf(tensor._plus_mask(np.zeros_like(w), mask.data))
             nonzero_masked += int(np.count_nonzero(w[dropped]))
 
-    passed = worst_sum <= tol and nonzero_masked == 0
+    passed = worst_sum <= _TOL_ROWSUM and nonzero_masked == 0
     detail = (
-        f"{trials} cases, worst |rowsum-1| = {worst_sum:.3e} (tol {tol:.0e}), "
+        f"{trials} cases, worst |rowsum-1| = {worst_sum:.3e} (tol {_TOL_ROWSUM:.0e}), "
         f"nonzero masked slots = {nonzero_masked}"
     )
     return SuiteResult(name, passed, detail)
 
 
 # -- permutation equivariance -------------------------------------------------
-
-
-# full attention must commute with a permutation to _TOL_EQUI; a banded
-# output that moves by more than _TOL_BREAK counts as broken
-_TOL_EQUI = 1e-10
-_TOL_BREAK = 1e-3
 
 
 def suite_equivariance(permutations: int = 10, seed: int = 0) -> SuiteResult:
@@ -297,13 +296,23 @@ def _op_cases(rng):
     block_src = Tensor._wrap(rng.normal(size=(7, 2)))  # window 3 leaves one row over
     cat_a = Tensor._wrap(rng.normal(size=(2, 3)))
     cat_b = Tensor._wrap(rng.normal(size=(4, 3)))
+    keys = Tensor._wrap(rng.normal(size=(5, 3)))
+    values = Tensor._wrap(rng.normal(size=(5, 2)))
+    queries = Tensor._wrap(rng.normal(size=(4, 3)))
 
     def loss(g, node):
         return g.mse(node, Tensor.zeros(g.value(node).shape))
 
+    def attend(g, q):  # softmax(q k^T / sqrt(d)) v, gradients through q
+        scores = g.matmul_batched(q, g.transpose_last2(g.constant(keys)))
+        weights = g.masked_softmax(scores, None, 1.0 / math.sqrt(3.0))
+        return loss(g, g.matmul_batched(weights, g.constant(values)))
+
     return [
         ("matmul-left", a3, lambda g, x: loss(g, g.matmul_batched(x, g.constant(b3)))),
         ("matmul-right", b3, lambda g, x: loss(g, g.matmul_batched(g.constant(a3), x))),
+        ("matmul-left-2d", m23, lambda g, x: loss(g, g.matmul_batched(x, g.constant(m34)))),
+        ("matmul-right-2d", m34, lambda g, x: loss(g, g.matmul_batched(g.constant(m23), x))),
         ("masked-softmax", sm_in, lambda g, x: loss(g, g.masked_softmax(x, mask, 0.7))),
         (
             "masked-softmax-2-blocks",
@@ -347,6 +356,7 @@ def _op_cases(rng):
             lambda g, x: loss(g, g.concat_lastdim([x, g.constant(m23)])),
         ),
         ("reshape", m34, lambda g, x: loss(g, g.reshape(x, (2, 2, 3)))),
+        ("attention-chain", queries, attend),
     ]
 
 
@@ -440,7 +450,7 @@ def _check_model(kind: str, seed: int) -> float:
     return worst
 
 
-def suite_gradients(trials: int = 20, seed: int = 0, tol: float = 1e-6) -> SuiteResult:
+def suite_gradients(trials: int = 20, seed: int = 0) -> SuiteResult:
     """Analytic gradients vs central finite differences, per op and full model."""
     name = "gradients"
     if _none_requested("trials", trials):
@@ -460,11 +470,11 @@ def suite_gradients(trials: int = 20, seed: int = 0, tol: float = 1e-6) -> Suite
             if err > worst_model[1]:
                 worst_model = (kind, err)
 
-    passed = worst_op[1] <= tol and worst_model[1] <= tol
+    passed = worst_op[1] <= _TOL_GRAD and worst_model[1] <= _TOL_GRAD
     detail = (
         f"{trials} trials: worst op rel err = {worst_op[1]:.3e} ({worst_op[0]}), "
         f"worst model rel err = {worst_model[1]:.3e} (kind={worst_model[0]}, "
-        f"tol {tol:.0e})"
+        f"tol {_TOL_GRAD:.0e})"
     )
     return SuiteResult(name, passed, detail)
 

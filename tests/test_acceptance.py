@@ -31,6 +31,7 @@ from localattn.model import (
 )
 from localattn.data import Scaler
 from localattn.tensor import Tensor
+from localattn import verify
 from localattn.verify import (
     suite_counting,
     suite_equivariance,
@@ -58,9 +59,9 @@ def seeded_qkv(n: int, d: int, seed: int = 0):
 
 def test_criterion_1_oracle_equivalence():
     t0 = time.perf_counter()
-    result = suite_oracle_equivalence(trials=200, seed=0, tol=1e-10)
+    result = suite_oracle_equivalence(trials=200, seed=0)
     elapsed = time.perf_counter() - t0
-    ok = result.passed and elapsed < 60.0
+    ok = result.passed and verify._TOL_ORACLE == 1e-10 and elapsed < 60.0
     report(1, "oracle-equivalence", ok, f"{result.detail}; {elapsed:.1f}s (< 60s)")
 
 
@@ -127,8 +128,9 @@ def test_criterion_3_scaling_slopes():
 
 
 def test_criterion_4_gradient_checks():
-    result = suite_gradients(trials=20, seed=0, tol=1e-6)
-    report(4, "gradient-checks", result.passed, result.detail)
+    result = suite_gradients(trials=20, seed=0)
+    ok = result.passed and verify._TOL_GRAD == 1e-6
+    report(4, "gradient-checks", ok, result.detail)
 
 
 def test_criterion_5_permutation_equivariance():
@@ -137,7 +139,7 @@ def test_criterion_5_permutation_equivariance():
 
 
 def test_criterion_6_masking_and_fault_injection():
-    result = suite_masking(trials=25, seed=0, tol=1e-12)
+    result = suite_masking(trials=25, seed=0)
 
     # disabling the first block's padding mask must corrupt exactly the
     # rows that see padded keys (row index < window - 1) and no others
@@ -151,7 +153,12 @@ def test_criterion_6_masking_and_fault_injection():
     fault_localized = early > 1e-3 and late <= 1e-10
 
     broken_build = suite_oracle_equivalence(trials=30, seed=0, inject_fault=True)
-    ok = result.passed and fault_localized and not broken_build.passed
+    ok = (
+        result.passed
+        and verify._TOL_ROWSUM == 1e-12
+        and fault_localized
+        and not broken_build.passed
+    )
     report(
         6,
         "masking-semantics",
@@ -200,16 +207,18 @@ def test_criterion_8_position_signal():
     x = Tensor._wrap(rng.normal(size=(16, 3)))
     pi = list(rng.permutation(16))
     deviations = {}
-    for use_pe in (False, True):
+    for with_signal in (False, True):
         model = ForecastModel(
             ModelConfig(
                 d_features=3, n=16, m=4, d_model=8, num_layers=1, heads=2,
-                kind="full", use_pe=use_pe, seed=3,
+                kind="full", seed=3,
             )
         )
+        if not with_signal:  # the control arm: a zero position signal
+            model.pe = Tensor.zeros(model.pe.shape)
         lhs = permute_rows(model.encode(x), pi)
         rhs = model.encode(permute_rows(x, pi))
-        deviations[use_pe] = float(np.max(np.abs(lhs.data - rhs.data)))
+        deviations[with_signal] = float(np.max(np.abs(lhs.data - rhs.data)))
     ok = (
         row0_ones
         and bounded

@@ -1,6 +1,7 @@
 """CLI tests: verify, bench, train, bandmass, forecast; flags and exit codes."""
 
 import csv
+import json
 import math
 
 import numpy as np
@@ -288,7 +289,7 @@ class TestBandmassCommand:
             ModelConfig(d_features=2, n=32, m=4, d_model=4, num_layers=1, heads=2)
         )
         scaler = Scaler(mean=np.zeros(2), std=np.ones(2))
-        path = save_checkpoint(model, str(tmp_path / "ck.npz"), scaler=scaler)
+        path = save_checkpoint(model, str(tmp_path / "ck.npz"), scaler, ("a", "b"))
         out = tmp_path / "mass.csv"
         assert main(["bandmass", "--checkpoint", path, "--l-list", "1,32",
                      "--out", str(out)]) == 0
@@ -357,12 +358,12 @@ class TestForecastCommand:
         assert "at least 8" in capsys.readouterr().err
 
     def test_checkpoint_without_scaler_exit_2(self, tmp_path, capsys):
-        model = ForecastModel(
-            ModelConfig(d_features=2, n=8, m=3, d_model=4, num_layers=1, heads=2)
-        )
-        ckpt = save_checkpoint(model, str(tmp_path / "bare.npz"))
-        raw = synth_series("sines", 20, d=2, seed=2)
-        data = write_csv(tmp_path / "in.csv", raw.values, ["a", "b"])
+        ckpt, data, _ = forecast_fixture(tmp_path)
+        with np.load(ckpt, allow_pickle=False) as payload:
+            arrays = {key: payload[key] for key in payload.files}
+        manifest = json.loads(str(arrays.pop("__manifest__")[()]))
+        del manifest["scaler"]
+        np.savez(ckpt, __manifest__=np.array(json.dumps(manifest)), **arrays)
         assert main(["forecast", "--checkpoint", ckpt, "--input", data,
                      "--out", str(tmp_path / "fc.csv")]) == 2
         assert "scaler" in capsys.readouterr().err
@@ -387,7 +388,7 @@ class TestForecastCommand:
             ModelConfig(d_features=1, n=8, m=3, d_model=4, num_layers=1, heads=2)
         )
         train(model, dataset, epochs=6, lr=0.05, batch=1, patience=0)
-        ckpt = save_checkpoint(model, str(tmp_path / "const.npz"), scaler=scaler)
+        ckpt = save_checkpoint(model, str(tmp_path / "const.npz"), scaler, ("v",))
         data = write_csv(
             tmp_path / "in.csv", rng.normal(size=(10, 1)), ["v"]
         )
@@ -438,10 +439,10 @@ class TestMainPlumbing:
     @pytest.mark.parametrize("case", [
         "data-is-a-directory", "input-is-a-directory", "non-utf8-csv", "oversized-csv-field",
         "lr=nan", "lr=0", "epochs=-1", "batch=0", "h=0", "bandmass-heads=0",
-        "no-validation-windows", "out-bandmass", "out-forecast", "out-train-file",
+        "no-validation-windows", "out-bandmass", "out-bench", "out-forecast", "out-train-file",
         *FLAG_CASES,
     ])
-    def test_bad_input_exits_2_with_one_error_line(self, tmp_path, capsys, case):
+    def test_bad_input_exits_2_with_one_error_line(self, tmp_path, capsys, monkeypatch, case):
         """Bad paths, config and flag values, splits: exit 2, one line naming the culprit."""
         argv, out = tiny_train_args(tmp_path)
         quiet = True  # nothing printed before the error
@@ -473,6 +474,9 @@ class TestMainPlumbing:
             culprit = str(tmp_path / "nodir" / "x.csv")
             if case == "out-bandmass":
                 argv = ["bandmass", "--n", "16", "--out", culprit]
+            elif case == "out-bench":  # rejected before the sweep runs
+                monkeypatch.setattr(cli, "bench_records", lambda *a: pytest.fail("sweep ran"))
+                argv = ["bench", "--n-list", "512,1024", "--out", culprit]
             elif case == "out-forecast":
                 ckpt, data, _ = forecast_fixture(tmp_path)
                 argv = ["forecast", "--checkpoint", ckpt, "--input", data, "--out", culprit]
@@ -512,8 +516,15 @@ class TestMainPlumbing:
             f"warning: {data}: dropped 2 row(s), first at line 5 (column x: unparseable 'abc')\n"
         )
 
+    # corruption -> text the error line must contain
+    CORRUPT = {
+        "truncated": "not a readable checkpoint",
+        "nan-parameter": "time.w is not finite",
+        "version-2": "checkpoint version 2 != 3",
+    }
+
     @pytest.mark.parametrize("command", ["bandmass", "forecast"])
-    @pytest.mark.parametrize("corrupt", ["truncated", "nan-parameter"])
+    @pytest.mark.parametrize("corrupt", sorted(CORRUPT))
     def test_corrupt_checkpoint_exit_2(self, tmp_path, capsys, command, corrupt):
         ckpt, data, _ = forecast_fixture(tmp_path)
         if corrupt == "truncated":
@@ -522,7 +533,12 @@ class TestMainPlumbing:
         else:
             with np.load(ckpt, allow_pickle=False) as payload:
                 arrays = {key: payload[key].copy() for key in payload.files}
-            arrays["time.w"][0, 0] = np.nan
+            if corrupt == "nan-parameter":
+                arrays["time.w"][0, 0] = np.nan
+            else:
+                manifest = json.loads(str(arrays["__manifest__"][()]))
+                manifest["version"] = 2
+                arrays["__manifest__"] = np.array(json.dumps(manifest))
             np.savez(ckpt, **arrays)
         argv = ["--checkpoint", ckpt, "--out", str(tmp_path / "out.csv")]
         if command == "forecast":
@@ -530,4 +546,5 @@ class TestMainPlumbing:
         assert main([command, *argv]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert self.CORRUPT[corrupt] in captured.err
         assert "nan" not in captured.out

@@ -248,8 +248,6 @@ class TestKernel:
         first = c.dot_products
         lam_forward(q, k, v, 2, counters=c)
         assert c.dot_products == 2 * first
-        c.reset()
-        assert c.dot_products == 0 and c.peak_score_elements == 0
 
     def test_output_in_value_hull(self):
         rng = np.random.default_rng(15)

@@ -1,5 +1,6 @@
 """Forecaster tests: position signal, layers, forward contract, training, checkpoints."""
 
+import dataclasses
 import json
 import math
 
@@ -30,10 +31,6 @@ def tiny_config(**overrides):
     )
     base.update(overrides)
     return ModelConfig(**base)
-
-
-def leaky(arr, alpha):
-    return np.where(arr > 0, arr, alpha * arr)
 
 
 def constant_target_dataset(seed=7, n=8, m=2, d=1, count=8, const=0.7, scale=1.0):
@@ -113,26 +110,19 @@ class TestModelConfig:
             tiny_config(**overrides)
 
 
-def identity_model(n=5, d=3, num_layers=2, use_pe=False):
-    """All layers configured to pass the stream through unchanged.
+def identity_model(n=5, d=3, num_layers=2):
+    """All layers configured to pass a non-negative stream through unchanged.
 
     Attention outputs are zeroed (wo = 0) so residuals dominate, both
-    projections are the identity with slope 1, and embed/unembed/time
-    are identity matrices. Forward must then reproduce the input.
+    projections are the identity (LeakyReLU leaves non-negative values
+    alone), the position signal is zeroed, and embed/unembed/time are
+    identity matrices. Forward must then reproduce a non-negative input.
     """
     cfg = ModelConfig(
-        d_features=d,
-        n=n,
-        m=n,
-        d_model=d,
-        num_layers=num_layers,
-        heads=1,
-        kind="full",
-        use_pe=use_pe,
-        alpha=1.0,
-        seed=0,
+        d_features=d, n=n, m=n, d_model=d, num_layers=num_layers, heads=1, kind="full", seed=0
     )
     model = ForecastModel(cfg)
+    model.pe = Tensor.zeros(model.pe.shape)
     for name, t in list(model.params.items()):
         if name.endswith(".wo"):
             model.params[name] = Tensor.zeros(t.shape)
@@ -154,7 +144,7 @@ class TestLayers:
         assert np.array_equal(out.data, np.zeros((2, 3)))
 
     def test_zero_weight_encoder_layer_annihilates(self):
-        model = ForecastModel(tiny_config(alpha=0.3))
+        model = ForecastModel(tiny_config())
         for name, t in model.params.items():
             model.params[name] = Tensor.zeros(t.shape)
         x = Tensor._wrap(np.random.default_rng(1).normal(size=(8, 4)))
@@ -169,10 +159,10 @@ class TestLayers:
         model.params[f"{prefix}.wo"] = Tensor._wrap(np.eye(3))
 
     def test_encoder_layer_identity_weights_composition(self):
-        # identity projections reduce the layer to x + attn(x,x,x)
+        # identity projections reduce the layer to x + attn(x,x,x) for x >= 0
         model = identity_model(n=6, d=3, num_layers=1)
         self._identity_attention(model, "enc0")
-        x = Tensor._wrap(np.random.default_rng(2).normal(size=(6, 3)))
+        x = Tensor._wrap(np.abs(np.random.default_rng(2).normal(size=(6, 3))))
         p = lambda name: model.params[name]
         out = model._encoder_layer(tensor, 0, x, p, model._inner())
         attn = _full_attention(tensor, x, x, x)
@@ -185,7 +175,7 @@ class TestLayers:
         model = identity_model(n=6, d=3, num_layers=1)
         self._identity_attention(model, "dec0.self")
         self._identity_attention(model, "dec0.cross")
-        y = Tensor._wrap(np.random.default_rng(3).normal(size=(6, 3)))
+        y = Tensor._wrap(np.abs(np.random.default_rng(3).normal(size=(6, 3))))
         enc = Tensor.zeros((6, 3))
         p = lambda name: model.params[name]
         out = model._decoder_layer(tensor, 0, y, enc, p, model._inner())
@@ -216,7 +206,7 @@ class TestForward:
 
     def test_identity_pipeline_reproduces_input(self):
         model = identity_model(n=5, d=3, num_layers=2)
-        x = Tensor._wrap(np.random.default_rng(6).normal(size=(5, 3)))
+        x = Tensor._wrap(np.abs(np.random.default_rng(6).normal(size=(5, 3))))
         out = model.forward(x)
         assert np.array_equal(out.data, x.data)
 
@@ -234,8 +224,10 @@ class TestForward:
 
     def test_position_signal_changes_output(self):
         x = Tensor._wrap(np.random.default_rng(8).normal(size=(8, 1)))
-        with_pe = ForecastModel(tiny_config(use_pe=True)).forward(x)
-        without = ForecastModel(tiny_config(use_pe=False)).forward(x)
+        with_pe = ForecastModel(tiny_config()).forward(x)
+        model = ForecastModel(tiny_config())
+        model.pe = Tensor.zeros(model.pe.shape)
+        without = model.forward(x)
         assert not np.allclose(with_pe.data, without.data)
 
     def test_rejects_wrong_input_shape(self):
@@ -378,6 +370,13 @@ class TestTrain:
         assert math.isnan(mse_val) and math.isnan(mae_val)
 
 
+def save_plain(model, path):
+    """Checkpoint under an identity scaler and feature names f0, f1, ..."""
+    d = model.config.d_features
+    scaler = Scaler(mean=np.zeros(d), std=np.ones(d))
+    return save_checkpoint(model, path, scaler, tuple(f"f{i}" for i in range(d)))
+
+
 def rewrite_manifest(path, mutate):
     """Reload an archive, alter its manifest, and write it back."""
     with np.load(path, allow_pickle=False) as payload:
@@ -443,7 +442,26 @@ CORRUPT_CHECKPOINTS = {
             m.update(version=1),
             m["config"].update(d_head=2, cross_attention="literal"),
         )),
-        "version 1 != 2",
+        "version 1 != 3",
+    ),
+    "v2-checkpoint": (  # the version-2 schema: shapes listed, scaler optional
+        lambda p: rewrite_manifest(p, lambda m: (
+            m.update(version=2, param_shapes={"time.w": [8, 2]}),
+            m.pop("scaler"),
+        )),
+        "checkpoint version 2 != 3",
+    ),
+    "no-scaler": (lambda p: rewrite_manifest(p, lambda m: m.pop("scaler")), "has no 'scaler'"),
+    "no-feature-names": (
+        lambda p: rewrite_manifest(p, lambda m: m.pop("feature_names")), "has no 'feature_names'"
+    ),
+    "bad-feature-names": (
+        lambda p: rewrite_manifest(p, lambda m: m.update(feature_names=[0])),
+        "one string feature name per feature",
+    ),
+    "feature-name-count": (
+        lambda p: rewrite_manifest(p, lambda m: m.update(feature_names=["a", "b"])),
+        "one string feature name per feature",
     ),
     "nan-parameter": (rewrite_arrays(poison(np.nan)), "time.w is not finite"),
     "inf-parameter": (rewrite_arrays(poison(np.inf)), "time.w is not finite"),
@@ -471,9 +489,7 @@ class TestCheckpoint:
         model = ForecastModel(cfg)
         x = Tensor._wrap(np.random.default_rng(12).normal(size=(8, 2)))
         before = model.forward(x)
-        path = save_checkpoint(model, str(tmp_path / "model.npz"))
-        loaded, scaler, names = load_checkpoint(path)
-        assert scaler is None and names is None
+        loaded, _, _ = load_checkpoint(save_plain(model, str(tmp_path / "model.npz")))
         assert loaded.config == cfg
         for name, t in model.params.items():
             assert np.array_equal(t.data, loaded.params[name].data)
@@ -481,7 +497,7 @@ class TestCheckpoint:
 
     def test_suffix_added_when_missing(self, tmp_path):
         model = ForecastModel(tiny_config())
-        path = save_checkpoint(model, str(tmp_path / "bare"))
+        path = save_plain(model, str(tmp_path / "bare"))
         assert path.endswith("bare.npz")
         load_checkpoint(path)
 
@@ -496,20 +512,28 @@ class TestCheckpoint:
         assert np.array_equal(loaded_scaler.std, scaler.std)
         assert names == ["a", "b"]
 
+    def test_manifest_schema_is_pinned(self, tmp_path):
+        path = save_plain(ForecastModel(tiny_config()), str(tmp_path / "m.npz"))
+        with np.load(path, allow_pickle=False) as payload:
+            manifest = json.loads(str(payload["__manifest__"][()]))
+        assert CHECKPOINT_VERSION == 3 and manifest["version"] == 3
+        assert set(manifest) == {"version", "config", "param_names", "scaler", "feature_names"}
+        assert list(manifest["config"]) == [f.name for f in dataclasses.fields(ModelConfig)]
+
     def test_version_mismatch_rejected(self, tmp_path):
-        path = save_checkpoint(ForecastModel(tiny_config()), str(tmp_path / "m.npz"))
+        path = save_plain(ForecastModel(tiny_config()), str(tmp_path / "m.npz"))
         rewrite_manifest(path, lambda m: m.update(version=CHECKPOINT_VERSION + 1))
         with pytest.raises(ValueError, match="version"):
             load_checkpoint(path)
 
     def test_shape_mismatch_rejected(self, tmp_path):
-        path = save_checkpoint(ForecastModel(tiny_config()), str(tmp_path / "m.npz"))
+        path = save_plain(ForecastModel(tiny_config()), str(tmp_path / "m.npz"))
         rewrite_manifest(path, lambda m: m["config"].update(d_model=8))
         with pytest.raises(ValueError, match="shape"):
             load_checkpoint(path)
 
     def test_name_mismatch_rejected(self, tmp_path):
-        path = save_checkpoint(ForecastModel(tiny_config()), str(tmp_path / "m.npz"))
+        path = save_plain(ForecastModel(tiny_config()), str(tmp_path / "m.npz"))
         rewrite_manifest(path, lambda m: m["config"].update(num_layers=2))
         with pytest.raises(ValueError, match="names"):
             load_checkpoint(path)
@@ -517,10 +541,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("case", sorted(CORRUPT_CHECKPOINTS))
     def test_corrupt_file_rejected(self, tmp_path, case):
         corrupt, message = CORRUPT_CHECKPOINTS[case]
-        path = save_checkpoint(
-            ForecastModel(tiny_config()), str(tmp_path / "m.npz"),
-            scaler=Scaler(mean=np.zeros(1), std=np.ones(1)),
-        )
+        path = save_plain(ForecastModel(tiny_config()), str(tmp_path / "m.npz"))
         corrupt(path)
         with pytest.raises(CheckpointError, match=message):
             load_checkpoint(path)
