@@ -1,5 +1,10 @@
 """Command-line entry point: verify, bench, train, bandmass, forecast.
 
+``train`` maps its key=value config file onto :class:`ModelConfig` fields
+and :func:`train` keywords (``CONFIG_KEYS``); a key the file leaves out
+takes the library default. ``bandmass`` and ``forecast`` load their model
+from a checkpoint that ``train`` wrote.
+
 Exit codes: 0 success, 1 suite or run failure (a numerical
 ``DegenerateRowError`` included), 2 usage error (any other ``ValueError``).
 Every command is deterministic under a fixed --seed.
@@ -14,13 +19,12 @@ import os
 import resource
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .attention import attention_band_mass, full_attention, prob_attention, sample_count
 from .data import (
-    Scaler,
     baseline_metrics,
     load_csv,
     standardize_split_window,
@@ -51,18 +55,19 @@ MEM_LIMIT_BYTES = int(3.5 * 2**30)
 # threaded matmuls an order of magnitude slower for up to about a second
 WARMUP_SECONDS = 1.5
 
+# config-file key -> (ModelConfig field or train() keyword, value type)
 CONFIG_KEYS = {
-    "kind": str,
-    "n": int,
-    "m": int,
-    "d_model": int,
-    "N": int,
-    "h": int,
-    "L": int,
-    "lr": float,
-    "epochs": int,
-    "batch": int,
-    "seed": int,
+    "kind": ("kind", str),
+    "n": ("n", int),
+    "m": ("m", int),
+    "d_model": ("d_model", int),
+    "N": ("num_layers", int),
+    "h": ("heads", int),
+    "L": ("window", int),
+    "lr": ("lr", float),
+    "epochs": ("epochs", int),
+    "batch": ("batch", int),
+    "seed": ("seed", int),
 }
 
 # values training cannot use, rejected as the file is read (before data loads)
@@ -73,19 +78,9 @@ CONFIG_RANGES = {
     "batch": (lambda x: x >= 1, ">= 1"),
 }
 
-# the sines preset: matches the toy-forecasting acceptance setup
-DEFAULT_CONFIG = {
-    "kind": "lam",
-    "n": 96,
-    "m": 24,
-    "d_model": 8,
-    "N": 2,
-    "h": 2,
-    "lr": 1e-2,
-    "epochs": 20,
-    "batch": 32,
-    "seed": 0,
-}
+# what ModelConfig leaves required (n, m) and the seed the synthetic series
+# needs before the model config exists; every other default is the library's
+DEFAULT_CONFIG = {"n": 96, "m": 24, "seed": 0}
 
 
 # -- verify ------------------------------------------------------------------
@@ -292,12 +287,12 @@ def parse_config(path: str) -> dict:
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key not in CONFIG_KEYS:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        cast = CONFIG_KEYS[key][1]
         try:
-            values[key] = CONFIG_KEYS[key](raw)
+            values[key] = cast(raw)
         except ValueError:
             raise ValueError(
-                f"{path}:{lineno}: bad value {raw!r} for {key} "
-                f"(expected {CONFIG_KEYS[key].__name__})"
+                f"{path}:{lineno}: bad value {raw!r} for {key} (expected {cast.__name__})"
             )
         if key in CONFIG_RANGES and not CONFIG_RANGES[key][0](values[key]):
             raise ValueError(
@@ -339,31 +334,19 @@ def cmd_train(args) -> int:
     dataset = standardize_split_window(
         raw, n=config["n"], m=config["m"], stride=args.stride
     )
-    model_config = ModelConfig(
-        d_features=raw.d,
-        n=config["n"],
-        m=config["m"],
-        d_model=config["d_model"],
-        num_layers=config["N"],
-        heads=config["h"],
-        window=config.get("L"),
-        kind=config["kind"],
-        seed=config["seed"],
-    )
+    model_fields = {f.name for f in fields(ModelConfig)}
+    settings, fit = {}, {}
+    for key, value in config.items():
+        name = CONFIG_KEYS[key][0]
+        (settings if name in model_fields else fit)[name] = value
+    model_config = ModelConfig(d_features=raw.d, **settings)
     model = ForecastModel(model_config)
     print(
         f"training kind={model_config.kind} on {len(dataset.train)} windows "
         f"(val {len(dataset.val)}, test {len(dataset.test)})"
     )
     try:
-        report = train(
-            model,
-            dataset,
-            epochs=config["epochs"],
-            lr=config["lr"],
-            batch=config["batch"],
-            log=print,
-        )
+        report = train(model, dataset, log=print, **fit)
     except TrainDivergenceError as exc:
         print(f"training diverged: {exc}")
         for key, curve in exc.history.items():
@@ -431,27 +414,9 @@ def _capture_projected_qk(model: ForecastModel, x: Tensor):
 
 
 def cmd_bandmass(args) -> int:
-    if args.checkpoint:
-        model, scaler, _ = load_checkpoint(args.checkpoint)
-    else:
-        model = ForecastModel(
-            ModelConfig(
-                d_features=args.d_features,
-                n=args.n,
-                m=1,
-                d_model=args.d_model,
-                num_layers=args.layers,
-                heads=args.heads,
-                kind="full",
-                seed=args.seed,
-            )
-        )
-        scaler = None
+    model, scaler, _ = load_checkpoint(args.checkpoint)
     cfg = model.config
-
     raw = synth_series("sines", cfg.n, d=cfg.d_features, seed=args.seed)
-    if scaler is None:
-        scaler = Scaler.fit(raw.values)
     x = Tensor._wrap(scaler.transform(raw.values))
 
     if args.l_list:
@@ -474,12 +439,16 @@ def cmd_bandmass(args) -> int:
 
 
 def cmd_forecast(args) -> int:
-    model, scaler, _ = load_checkpoint(args.checkpoint)
+    model, scaler, feature_names = load_checkpoint(args.checkpoint)
     raw = _read_csv(args.input)
     cfg = model.config
-    if raw.d != cfg.d_features:
+    names = list(raw.feature_names)
+    # the scaler's statistics are per feature: a renamed or reordered column
+    # would be standardized with another feature's mean and deviation
+    if names != feature_names:
         raise ValueError(
-            f"{args.input} has {raw.d} features, checkpoint expects {cfg.d_features}"
+            f"{args.input} has {raw.d} features {names}, "
+            f"checkpoint expects {cfg.d_features} {feature_names}"
         )
     if raw.length < cfg.n:
         raise ValueError(
@@ -488,7 +457,6 @@ def cmd_forecast(args) -> int:
     window = scaler.transform(raw.values[-cfg.n :])
     pred = model.forward(Tensor._wrap(window))
     out_values = scaler.inverse(pred.data)
-    names = list(raw.feature_names)  # header matches the input file's features
     with _open_out(args.out) as handle:
         writer = csv.writer(handle)
         writer.writerow(names)
@@ -553,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run the self-verification suites")
-    p.add_argument("--trials", type=int, default=200, help="randomized case count")
+    p.add_argument("--trials", type=int, default=200, help="randomized case count (>= 1)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--inject-fault",
@@ -588,14 +556,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("bandmass", help="report attention mass inside trailing bands")
-    p.add_argument("--checkpoint", default=None, help="model to inspect (random when omitted)")
-    p.add_argument("--n", type=int, default=96)
-    p.add_argument("--d-model", type=int, default=8)
-    p.add_argument("--d-features", type=int, default=3)
-    p.add_argument("--heads", type=int, default=2)
-    p.add_argument("--layers", type=int, default=2)
+    p.add_argument("--checkpoint", required=True, help="model to inspect")
     p.add_argument("--l-list", default=None, help="band sizes; default: powers of two up to n")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="seed of the input sines series")
     p.add_argument("--out", default=None, help="CSV path (stdout when omitted)")
     p.set_defaults(func=cmd_bandmass)
 

@@ -287,7 +287,7 @@ def train(
     model: ForecastModel,
     dataset: WindowedDataset,
     epochs: int = 20,
-    lr: float = 1e-3,
+    lr: float = 1e-2,
     batch: int = 32,
     patience: int = 3,
     log=None,

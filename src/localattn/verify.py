@@ -49,15 +49,10 @@ class SuiteResult:
     detail: str
 
 
-def _vacuous(name: str) -> SuiteResult:
-    return SuiteResult(name, True, "0 cases requested; vacuous pass (warning)")
-
-
-def _none_requested(label: str, count: int) -> bool:
-    """True for a zero case count (a vacuous pass); a negative one is a ValueError."""
-    if count < 0:
-        raise ValueError(f"{label} must be >= 0, got {count}")
-    return count == 0
+def _check_count(label: str, count: int) -> None:
+    """A suite that runs no case checks nothing, so a count below 1 is a ValueError."""
+    if count < 1:
+        raise ValueError(f"{label} must be >= 1, got {count}")
 
 
 # -- oracle equivalence ----------------------------------------------------
@@ -99,8 +94,7 @@ def suite_oracle_equivalence(
     to rows i < window-1, the zero-padded key zone).
     """
     name = "oracle-equivalence"
-    if _none_requested("trials", trials):
-        return _vacuous(name)
+    _check_count("trials", trials)
     rng = np.random.default_rng(seed)
     cases = _cases(trials, rng, 128)
 
@@ -150,8 +144,7 @@ def suite_counting(trials: int = 40, seed: int = 0) -> SuiteResult:
     quadratic reference must count n^2 of each.
     """
     name = "counting"
-    if _none_requested("trials", trials):
-        return _vacuous(name)
+    _check_count("trials", trials)
     rng = np.random.default_rng(seed)
     cases = _cases(trials, rng, 256)
 
@@ -192,8 +185,7 @@ def suite_masking(trials: int = 25, seed: int = 0) -> SuiteResult:
     trailing-row slab), each against the mask it was normalized under.
     """
     name = "masking"
-    if _none_requested("trials", trials):
-        return _vacuous(name)
+    _check_count("trials", trials)
     rng = np.random.default_rng(seed)
     worst_sum = 0.0
     nonzero_masked = 0
@@ -232,8 +224,7 @@ def suite_equivariance(permutations: int = 10, seed: int = 0) -> SuiteResult:
     10 trials (a permutation could in principle preserve the band).
     """
     name = "equivariance"
-    if _none_requested("permutations", permutations):
-        return _vacuous(name)
+    _check_count("permutations", permutations)
     rng = np.random.default_rng(seed)
     n, d, heads, d_head, window = 24, 8, 2, 4, 4
     full, lam = _resolve_inner("full", None, seed), _resolve_inner("lam", window, seed)
@@ -453,8 +444,7 @@ def _check_model(kind: str, seed: int) -> float:
 def suite_gradients(trials: int = 20, seed: int = 0) -> SuiteResult:
     """Analytic gradients vs central finite differences, per op and full model."""
     name = "gradients"
-    if _none_requested("trials", trials):
-        return _vacuous(name)
+    _check_count("trials", trials)
     worst_op = ("", 0.0)
     for trial in range(trials):
         rng = np.random.default_rng(seed + 1000 * trial)
@@ -481,7 +471,7 @@ def suite_gradients(trials: int = 20, seed: int = 0) -> SuiteResult:
 
 def run_all(trials: int = 200, seed: int = 0, inject_fault: bool = False):
     """Every suite in a fixed order, case counts derived from ``trials``."""
-    grad_trials = 0 if _none_requested("trials", trials) else min(20, max(1, trials // 10))
+    grad_trials = min(20, max(1, trials // 10))
     return [
         suite_oracle_equivalence(trials, seed, inject_fault=inject_fault),
         suite_counting(min(trials, 40), seed),

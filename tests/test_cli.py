@@ -1,8 +1,12 @@
 """CLI tests: verify, bench, train, bandmass, forecast; flags and exit codes."""
 
 import csv
+import inspect
 import json
 import math
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +14,7 @@ import pytest
 import localattn.cli as cli
 from localattn.cli import BENCH_HEADER, main, parse_config, resolve_band
 from localattn.data import Scaler, load_csv, synth_series
-from localattn.model import ForecastModel, ModelConfig, save_checkpoint
+from localattn.model import ForecastModel, ModelConfig, save_checkpoint, train
 from localattn.tensor import DegenerateRowError, Tensor
 
 
@@ -37,11 +41,6 @@ class TestVerifyCommand:
         assert "rows>=window-1 = " in out
         late = float(out.split("rows>=window-1 = ")[1].split()[0].rstrip(","))
         assert late <= 1e-10
-
-    def test_zero_trials_vacuous_pass(self, capsys):
-        assert main(["verify", "--trials", "0"]) == 0
-        out = capsys.readouterr().out
-        assert "vacuous" in out
 
     def test_unknown_fault_name_is_usage_error(self):
         with pytest.raises(SystemExit) as info:
@@ -253,13 +252,46 @@ class TestTrainCommand:
         assert main(["train", "--data", "bogus"]) == 2
         assert "bogus" in capsys.readouterr().err
 
+    def test_readme_defaults_match_the_library(self):
+        """The README's config table repeats the defaults cmd_train falls back to."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("### train", 1)[1].split("### ", 1)[0]
+        table = dict(re.findall(r"^\| `(\w+)` \|.*\| (.+?) \|$", section, re.M))
+        assert list(table) == list(cli.CONFIG_KEYS)
+        library = {f.name: f.default for f in fields(ModelConfig)}
+        library.update(
+            (name, p.default) for name, p in inspect.signature(train).parameters.items()
+        )
+        for key, (name, cast) in cli.CONFIG_KEYS.items():
+            default = cli.DEFAULT_CONFIG.get(key, library[name])
+            if default is None:  # derived from other values, here the band rule
+                assert table[key] == "derived", key
+            else:
+                assert cast(table[key].strip("`")) == default, key
+
+
+def bandmass_checkpoint(tmp_path, n=32, seed=0):
+    """A seeded full-attention model saved with the scaler of its sines input."""
+    model = ForecastModel(ModelConfig(d_features=2, n=n, m=1, d_model=4, num_layers=1,
+                                      heads=2, kind="full", seed=seed))
+    scaler = Scaler.fit(synth_series("sines", n, d=2, seed=seed).values)
+    return save_checkpoint(model, str(tmp_path / "bandmass.npz"), scaler, ("f0", "f1"))
+
+
+def edit_manifest(ckpt, edit):
+    """Rewrite a checkpoint with ``edit`` applied to its JSON manifest."""
+    with np.load(ckpt, allow_pickle=False) as payload:
+        arrays = {key: payload[key] for key in payload.files}
+    manifest = json.loads(str(arrays.pop("__manifest__")[()]))
+    edit(manifest)
+    np.savez(ckpt, __manifest__=np.array(json.dumps(manifest)), **arrays)
+
 
 class TestBandmassCommand:
     def run_bandmass(self, tmp_path, *extra):
         out = tmp_path / "mass.csv"
         code = main(
-            ["bandmass", "--n", "32", "--d-model", "4", "--d-features", "2",
-             "--heads", "2", "--layers", "1", "--l-list", "1,4,32",
+            ["bandmass", "--checkpoint", bandmass_checkpoint(tmp_path), "--l-list", "1,4,32",
              "--out", str(out), *extra]
         )
         assert code == 0
@@ -301,9 +333,15 @@ class TestBandmassCommand:
         assert main(["bandmass", "--checkpoint", "nope.npz"]) == 2
         assert "nope.npz" in capsys.readouterr().err
 
-    def test_band_out_of_range_exit_2(self, capsys):
-        assert main(["bandmass", "--n", "16", "--l-list", "99"]) == 2
+    def test_band_out_of_range_exit_2(self, tmp_path, capsys):
+        ckpt = bandmass_checkpoint(tmp_path, n=16)
+        assert main(["bandmass", "--checkpoint", ckpt, "--l-list", "99"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_checkpoint_required(self):
+        with pytest.raises(SystemExit) as info:
+            main(["bandmass", "--l-list", "1,4"])
+        assert info.value.code == 2
 
 
 def forecast_fixture(tmp_path, d=2, n=8, m=3):
@@ -316,7 +354,7 @@ def forecast_fixture(tmp_path, d=2, n=8, m=3):
         feature_names=tuple(f"f{i}" for i in range(d)),
     )
     raw = synth_series("sines", 20, d=d, seed=2)
-    data = write_csv(tmp_path / "in.csv", raw.values, ["a", "b"][:d])
+    data = write_csv(tmp_path / "in.csv", raw.values, [f"f{i}" for i in range(d)])
     return ckpt, data, model
 
 
@@ -328,7 +366,7 @@ class TestForecastCommand:
                      "--out", str(out)]) == 0
         parsed = load_csv(str(out))
         assert parsed.values.shape == (3, 2)
-        assert parsed.feature_names == ("a", "b")  # header matches the input
+        assert parsed.feature_names == ("f0", "f1")  # header matches the input
 
         raw = load_csv(data)
         x = Tensor._wrap(raw.values[-8:])  # identity scaler in the fixture
@@ -352,18 +390,14 @@ class TestForecastCommand:
     def test_too_short_input_exit_2(self, tmp_path, capsys):
         ckpt, _, _ = forecast_fixture(tmp_path, n=8)
         raw = synth_series("sines", 5, d=2, seed=2)
-        data = write_csv(tmp_path / "short.csv", raw.values, ["a", "b"])
+        data = write_csv(tmp_path / "short.csv", raw.values, ["f0", "f1"])
         assert main(["forecast", "--checkpoint", ckpt, "--input", data,
                      "--out", str(tmp_path / "fc.csv")]) == 2
         assert "at least 8" in capsys.readouterr().err
 
     def test_checkpoint_without_scaler_exit_2(self, tmp_path, capsys):
         ckpt, data, _ = forecast_fixture(tmp_path)
-        with np.load(ckpt, allow_pickle=False) as payload:
-            arrays = {key: payload[key] for key in payload.files}
-        manifest = json.loads(str(arrays.pop("__manifest__")[()]))
-        del manifest["scaler"]
-        np.savez(ckpt, __manifest__=np.array(json.dumps(manifest)), **arrays)
+        edit_manifest(ckpt, lambda manifest: manifest.pop("scaler"))
         assert main(["forecast", "--checkpoint", ckpt, "--input", data,
                      "--out", str(tmp_path / "fc.csv")]) == 2
         assert "scaler" in capsys.readouterr().err
@@ -433,12 +467,13 @@ class TestMainPlumbing:
         "bench --d-model 0": "--d-model must be >= 1",
         "bench --d-model -1": "--d-model must be >= 1",
         "bench --l-rule ceil4": "'ceil4'",
-        "verify --trials -5": "trials must be >= 0",
+        "verify --trials 0": "trials must be >= 1",
+        "verify --trials -5": "trials must be >= 1",
     }
 
     @pytest.mark.parametrize("case", [
         "data-is-a-directory", "input-is-a-directory", "non-utf8-csv", "oversized-csv-field",
-        "lr=nan", "lr=0", "epochs=-1", "batch=0", "h=0", "bandmass-heads=0",
+        "lr=nan", "lr=0", "epochs=-1", "batch=0", "h=0", "bandmass-heads=0", "forecast-header",
         "no-validation-windows", "out-bandmass", "out-bench", "out-forecast", "out-train-file",
         *FLAG_CASES,
     ])
@@ -465,7 +500,15 @@ class TestMainPlumbing:
             culprit = "heads=0"
             argv, out = tiny_train_args(tmp_path, h="0")
             if case.startswith("bandmass"):
-                argv = ["bandmass", "--heads", "0", "--out", str(out)]
+                ckpt, _, _ = forecast_fixture(tmp_path)
+                edit_manifest(ckpt, lambda manifest: manifest["config"].update(heads=0))
+                argv = ["bandmass", "--checkpoint", ckpt, "--out", str(out)]
+        elif case == "forecast-header":  # the checkpoint's columns, reordered
+            culprit = "has 2 features ['f1', 'f0'], checkpoint expects 2 ['f0', 'f1']"
+            ckpt, _, _ = forecast_fixture(tmp_path)
+            raw = synth_series("sines", 20, d=2, seed=2)
+            data = write_csv(tmp_path / "swapped.csv", raw.values, ["f1", "f0"])
+            argv = ["forecast", "--checkpoint", ckpt, "--input", data, "--out", str(out)]
         elif case in self.FLAG_CASES:
             culprit, argv = self.FLAG_CASES[case], case.split()
             if argv[0] == "bench":
@@ -473,7 +516,7 @@ class TestMainPlumbing:
         elif case.startswith("out-"):  # an --out the command cannot write
             culprit = str(tmp_path / "nodir" / "x.csv")
             if case == "out-bandmass":
-                argv = ["bandmass", "--n", "16", "--out", culprit]
+                argv = ["bandmass", "--checkpoint", bandmass_checkpoint(tmp_path), "--out", culprit]
             elif case == "out-bench":  # rejected before the sweep runs
                 monkeypatch.setattr(cli, "bench_records", lambda *a: pytest.fail("sweep ran"))
                 argv = ["bench", "--n-list", "512,1024", "--out", culprit]
@@ -503,7 +546,7 @@ class TestMainPlumbing:
         values = synth_series("sines", 400, d=2, seed=1).values.astype(object)
         values[3, 0], values[7, 1] = "abc", "inf"  # file lines 5 and 9
         data = tmp_path / "gappy.csv"
-        data.write_text("x,y\n" + "".join(f"{a},{b}\n" for a, b in values))
+        data.write_text("f0,f1\n" + "".join(f"{a},{b}\n" for a, b in values))
         if command == "train":
             argv, _ = tiny_train_args(tmp_path)
             argv[argv.index("--samples"):argv.index("--stride")] = ["--data", str(data)]
@@ -513,7 +556,7 @@ class TestMainPlumbing:
                     "--out", str(tmp_path / "fc.csv")]
         assert main(argv) == 0
         assert capsys.readouterr().err == (
-            f"warning: {data}: dropped 2 row(s), first at line 5 (column x: unparseable 'abc')\n"
+            f"warning: {data}: dropped 2 row(s), first at line 5 (column f0: unparseable 'abc')\n"
         )
 
     # corruption -> text the error line must contain
