@@ -155,14 +155,16 @@ def masked_full_attention_oracle(q: Tensor, k: Tensor, v: Tensor, window: int) -
 def _multi_head(ops, q, k, v, head_ws, w_out, inner):
     """Project q, k, v per head, run ``inner`` on each triple, merge.
 
-    ``head_ws`` is a sequence of (w_q, w_k, w_v) backend values; ``inner``
-    is a callable (ops, q, k, v) -> backend value.
+    ``head_ws`` is a sequence of (w_q, w_k, w_v) backend values, each
+    (d_in, d_head) for its input's width d_in, so a head's projection is
+    ``x @ w`` with no transpose; ``inner`` is a callable
+    (ops, q, k, v) -> backend value.
     """
     outs = []
     for wq, wk, wv in head_ws:
-        qh = ops.matmul_batched(q, ops.transpose_last2(wq))
-        kh = ops.matmul_batched(k, ops.transpose_last2(wk))
-        vh = ops.matmul_batched(v, ops.transpose_last2(wv))
+        qh = ops.matmul_batched(q, wq)
+        kh = ops.matmul_batched(k, wk)
+        vh = ops.matmul_batched(v, wv)
         outs.append(inner(ops, qh, kh, vh))
     merged = outs[0] if len(outs) == 1 else ops.concat_lastdim(outs)
     return ops.matmul_batched(merged, w_out)

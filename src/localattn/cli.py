@@ -353,28 +353,20 @@ def cmd_train(args) -> int:
             print(f"  last finite {key}: {curve[-3:] if curve else '[]'}")
         return 1
 
-    os.makedirs(args.out, exist_ok=True)
-    loss_path = os.path.join(args.out, "loss.csv")
-    with open(loss_path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["epoch", "train_mse", "val_mse", "train_mae", "val_mae"])
-        for epoch in range(report.epochs_run):
-            writer.writerow(
-                [
-                    epoch,
-                    repr(report.train_mse[epoch]),
-                    repr(report.val_mse[epoch]),
-                    repr(report.train_mae[epoch]),
-                    repr(report.val_mae[epoch]),
-                ]
-            )
-    ckpt_path = save_checkpoint(
-        model,
-        os.path.join(args.out, "checkpoint.npz"),
-        scaler=dataset.scaler,
-        feature_names=dataset.feature_names,
-    )
-    write_manifest(os.path.join(args.out, "manifest.txt"), dataset)
+    try:  # the directory is made only now, so a rejected run leaves none behind
+        os.makedirs(args.out, exist_ok=True)
+        loss_path = os.path.join(args.out, "loss.csv")
+        with open(loss_path, "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["epoch", "train_mse", "val_mse", "train_mae", "val_mae"])
+            curves = (report.train_mse, report.val_mse, report.train_mae, report.val_mae)
+            for epoch in range(report.epochs_run):
+                writer.writerow([epoch] + [repr(curve[epoch]) for curve in curves])
+        ckpt_path = save_checkpoint(model, os.path.join(args.out, "checkpoint.npz"),
+                                    dataset.scaler, dataset.feature_names)
+        write_manifest(os.path.join(args.out, "manifest.txt"), dataset)
+    except OSError as exc:
+        raise ValueError(f"cannot write {args.out}: {exc}")
 
     base_mse, base_mae = baseline_metrics(dataset.test)
     print(f"epochs run: {report.epochs_run} (early stop: {report.stopped_early})")

@@ -111,8 +111,9 @@ def load_csv(path: str) -> RawSeries:
     as a float) and excluded from the features. Rows containing any
     non-finite or unparseable feature cell are dropped and reported in
     ``dropped_rows`` with their 1-based file line numbers. Rows whose
-    cell count disagrees with the header are an error, as is a file with
-    no numeric columns or no surviving rows. Every error is a
+    cell count disagrees with the header (a blank line included) are an
+    error, checked before the timestamp detection, as is a file with no
+    numeric columns or no surviving rows. Every error is a
     ``ValueError`` naming the file, including an unreadable path (a
     directory too), undecodable text and a malformed CSV field.
     """
@@ -123,8 +124,8 @@ def load_csv(path: str) -> RawSeries:
         raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except (UnicodeDecodeError, csv.Error) as exc:
         raise ValueError(f"{path} is not readable CSV text: {exc}") from exc
-    if not rows:
-        raise ValueError(f"{path}: empty file")
+    if not rows or not rows[0]:
+        raise ValueError(f"{path}: empty file or blank header line")
     header, data = rows[0], rows[1:]
     if not data:
         raise ValueError(f"{path}: no data rows")
@@ -136,6 +137,11 @@ def load_csv(path: str) -> RawSeries:
         except ValueError:
             return False
 
+    for line, row in enumerate(data, start=2):  # 1-based, after the header line
+        if len(row) != len(header):
+            raise ValueError(
+                f"{path}: line {line} has {len(row)} cells, header has {len(header)}"
+            )
     first_col_is_time = not is_float(data[0][0])
     start = 1 if first_col_is_time else 0
     names = tuple(name.strip() for name in header[start:])
@@ -144,12 +150,7 @@ def load_csv(path: str) -> RawSeries:
 
     kept: list[list[float]] = []
     dropped: list[tuple[int, str]] = []
-    for offset, row in enumerate(data):
-        line = offset + 2  # 1-based, after the header line
-        if len(row) != len(header):
-            raise ValueError(
-                f"{path}: line {line} has {len(row)} cells, header has {len(header)}"
-            )
+    for line, row in enumerate(data, start=2):
         parsed = []
         bad = None
         for name, cell in zip(names, row[start:]):

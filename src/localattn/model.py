@@ -19,6 +19,8 @@ Two wiring notes, both deliberate:
 
 The whole forward is written once against the ops backend, so the same
 code runs eagerly for inference and on the autodiff tape for training.
+Every weight is stored in the orientation the forward multiplies it by,
+so no forward transposes a parameter.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ __all__ = [
     "CHECKPOINT_VERSION",
 ]
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 LEAKY_SLOPE = 0.01  # negative-side slope of every projection's LeakyReLU
 
 
@@ -121,7 +123,14 @@ class ForecastModel:
 
     Parameter names are dotted paths (``enc0.head1.wq``, ``time.w``) so
     the same names key the autodiff gradients, the optimizer state, and
-    the checkpoint file.
+    the checkpoint file. Weights act as ``x @ W`` and are C-contiguous:
+    ``embed.w`` (d_features, d_model), each head's ``wq``/``wk``/``wv``
+    (d_model, d_head), ``wo`` (heads*d_head, d_model), ``ff1.w``/``ff2.w``
+    (d_model, d_model) and ``unembed.w`` (d_model, d_features); ``time.w``
+    is (m, n) and multiplies from the left. Each weight is drawn
+    U(±1/sqrt(rows)); the head weights and ``time.w`` are drawn as their
+    transposes, (d_head, d_model) and (n, m), so seeded values match
+    version-3 checkpoints.
     """
 
     def __init__(self, config: ModelConfig):
@@ -140,21 +149,22 @@ class ForecastModel:
             self._projection_params(rng, f"dec{i}")
         self._weight(rng, "unembed.w", (config.d_model, config.d_features))
         self._bias("unembed.b", config.d_features)
-        self._weight(rng, "time.w", (config.n, config.m))
+        self._weight(rng, "time.w", (config.n, config.m), transposed=True)
 
-    def _weight(self, rng, name: str, shape: tuple[int, int]) -> None:
+    def _weight(self, rng, name: str, shape: tuple[int, int], transposed=False) -> None:
         bound = 1.0 / math.sqrt(shape[0])
-        self.params[name] = Tensor._wrap(rng.uniform(-bound, bound, size=shape))
+        draw = rng.uniform(-bound, bound, size=shape)
+        self.params[name] = Tensor._wrap(np.ascontiguousarray(draw.T) if transposed else draw)
 
     def _bias(self, name: str, width: int) -> None:
         self.params[name] = Tensor.zeros((width,))
 
     def _attention_params(self, rng, prefix: str) -> None:
         cfg = self.config
+        drawn = (cfg.d_head, cfg.d_model)
         for j in range(cfg.heads):
-            self._weight(rng, f"{prefix}.head{j}.wq", (cfg.d_head, cfg.d_model))
-            self._weight(rng, f"{prefix}.head{j}.wk", (cfg.d_head, cfg.d_model))
-            self._weight(rng, f"{prefix}.head{j}.wv", (cfg.d_head, cfg.d_model))
+            for w in ("wq", "wk", "wv"):
+                self._weight(rng, f"{prefix}.head{j}.{w}", drawn, transposed=True)
         self._weight(rng, f"{prefix}.wo", (cfg.heads * cfg.d_head, cfg.d_model))
 
     def _projection_params(self, rng, prefix: str) -> None:
@@ -168,7 +178,7 @@ class ForecastModel:
 
     def _mh(self, ops, prefix: str, q, k, v, p, inner):
         head_ws = [
-            (p(f"{prefix}.head{j}.wq"), p(f"{prefix}.head{j}.wk"), p(f"{prefix}.head{j}.wv"))
+            [p(f"{prefix}.head{j}.{w}") for w in ("wq", "wk", "wv")]
             for j in range(self.config.heads)
         ]
         return _multi_head(ops, q, k, v, head_ws, p(f"{prefix}.wo"), inner)
@@ -202,8 +212,7 @@ class ForecastModel:
         dec = stream
         for i in range(self.config.num_layers):
             dec = self._decoder_layer(ops, i, dec, enc, p, inner)
-        feat = ops.affine(dec, p("unembed.w"), p("unembed.b"))
-        return ops.matmul_batched(ops.transpose_last2(p("time.w")), feat)
+        return ops.matmul_batched(p("time.w"), ops.affine(dec, p("unembed.w"), p("unembed.b")))
 
     def _check_input(self, x: Tensor) -> None:
         want = (self.config.n, self.config.d_features)
@@ -464,7 +473,7 @@ def load_checkpoint(path: str):
             )
         if arr.dtype != np.float64 or not np.isfinite(arr).all():
             raise CheckpointError(f"parameter {name} is not finite float64")
-        model.params[name] = Tensor(arr)
+        model.params[name] = Tensor(np.ascontiguousarray(arr))
     d = model.config.d_features
     if not (mean.shape == std.shape == (d,)
             and np.isfinite(mean).all() and np.isfinite(std).all() and (std > 0).all()):

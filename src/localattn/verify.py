@@ -233,9 +233,9 @@ def suite_equivariance(permutations: int = 10, seed: int = 0) -> SuiteResult:
     lam_breaks = 0
     for trial in range(permutations):
         w_rng = np.random.default_rng(seed + trial)
-        draw = lambda rows: Tensor._wrap(w_rng.uniform(-bound, bound, size=(rows, d)))
-        head_ws = [(draw(d_head), draw(d_head), draw(d_head)) for _ in range(heads)]
-        w_out = draw(heads * d_head)
+        draw = lambda *shape: Tensor._wrap(w_rng.uniform(-bound, bound, size=shape))
+        head_ws = [(draw(d, d_head), draw(d, d_head), draw(d, d_head)) for _ in range(heads)]
+        w_out = draw(heads * d_head, d)
 
         def attend(x, inner):
             return _multi_head(tensor, x, x, x, head_ws, w_out, inner)

@@ -165,7 +165,7 @@ def seeded_heads(seed, heads, d_head, d_q, d_v):
     """Per-head (w_q, w_k, w_v) weights and the output projection."""
     rng = np.random.default_rng(seed)
     draw = lambda *shape: Tensor(rng.uniform(-0.5, 0.5, size=shape))
-    head_ws = [(draw(d_head, d_q), draw(d_head, d_q), draw(d_head, d_v)) for _ in range(heads)]
+    head_ws = [(draw(d_q, d_head), draw(d_q, d_head), draw(d_v, d_head)) for _ in range(heads)]
     return head_ws, draw(heads * d_head, d_v)
 
 

@@ -473,8 +473,9 @@ class TestMainPlumbing:
 
     @pytest.mark.parametrize("case", [
         "data-is-a-directory", "input-is-a-directory", "non-utf8-csv", "oversized-csv-field",
-        "lr=nan", "lr=0", "epochs=-1", "batch=0", "h=0", "bandmass-heads=0", "forecast-header",
-        "no-validation-windows", "out-bandmass", "out-bench", "out-forecast", "out-train-file",
+        "blank-first-csv-row", "lr=nan", "lr=0", "epochs=-1", "batch=0", "h=0",
+        "bandmass-heads=0", "forecast-header", "no-validation-windows", "out-bandmass",
+        "out-bench", "out-forecast", "out-train-file", "out-train-too-long",
         *FLAG_CASES,
     ])
     def test_bad_input_exits_2_with_one_error_line(self, tmp_path, capsys, monkeypatch, case):
@@ -496,6 +497,10 @@ class TestMainPlumbing:
             culprit = str(tmp_path / "wide.csv")
             (tmp_path / "wide.csv").write_text("a,b\n" + "1" * 200_000 + ",1.0\n")
             argv += ["--data", culprit]
+        elif case == "blank-first-csv-row":  # caught by the cell count, not the timestamp check
+            culprit = "line 2 has 0 cells, header has 2"
+            (tmp_path / "blank.csv").write_text("a,b\n\n1,2\n3,4\n")
+            argv += ["--data", str(tmp_path / "blank.csv")]
         elif case in ("h=0", "bandmass-heads=0"):  # ModelConfig names the field
             culprit = "heads=0"
             argv, out = tiny_train_args(tmp_path, h="0")
@@ -523,9 +528,12 @@ class TestMainPlumbing:
             elif case == "out-forecast":
                 ckpt, data, _ = forecast_fixture(tmp_path)
                 argv = ["forecast", "--checkpoint", ckpt, "--input", data, "--out", culprit]
-            else:  # an existing file where train's output directory goes
+            elif case == "out-train-file":  # an existing file where the directory goes
                 culprit = str(tmp_path / "taken")
                 (tmp_path / "taken").write_text("")
+                argv[-1] = culprit
+            else:  # a directory name too long to make, found after training
+                culprit, quiet = str(tmp_path / ("a" * 300) / "x"), False
                 argv[-1] = culprit
         elif case == "no-validation-windows":
             culprit, quiet = "no validation windows", False
@@ -563,7 +571,7 @@ class TestMainPlumbing:
     CORRUPT = {
         "truncated": "not a readable checkpoint",
         "nan-parameter": "time.w is not finite",
-        "version-2": "checkpoint version 2 != 3",
+        "version-2": "checkpoint version 2 != 4",
     }
 
     @pytest.mark.parametrize("command", ["bandmass", "forecast"])

@@ -145,6 +145,10 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="empty"):
             load_csv(self.write(tmp_path, ""))
 
+    def test_blank_header_line_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="blank header line"):
+            load_csv(self.write(tmp_path, "\n\n"))
+
     def test_header_only_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="no data rows"):
             load_csv(self.write(tmp_path, "a,b\n"))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from localattn.attention import _full_attention, band_mask
+from localattn.autodiff import Graph
 from localattn.data import Scaler, WindowedDataset
 from localattn.model import (
     CHECKPOINT_VERSION,
@@ -276,6 +277,39 @@ class TestParameterCounting:
         assert per_layer == layer1
 
 
+def assert_stored_as_multiplied(model):
+    """Every array C-contiguous; head weights (d_model, d_head), time.w (m, n)."""
+    cfg = model.config
+    for name, t in model.params.items():
+        assert t.data.flags.c_contiguous, name
+        if name.split(".")[-1] in ("wq", "wk", "wv"):
+            assert t.shape == (cfg.d_model, cfg.d_head), name
+    assert model.params["time.w"].shape == (cfg.m, cfg.n)
+
+
+class TestParameterLayout:
+    @pytest.mark.parametrize("kind, nodes, transposes", [("lam", 324, 24), ("full", 180, 12)])
+    def test_no_forward_transposes_a_parameter(self, kind, nodes, transposes):
+        """Toy window tape: the only transposes left are the attention core's key ones."""
+        model = ForecastModel(ModelConfig(d_features=3, n=96, m=24, kind=kind))
+        x = Tensor._wrap(np.random.default_rng(13).normal(size=(96, 3)))
+        g = Graph()
+        out, _ = model.forward_graph(g, x)
+        g.mse(out, Tensor.zeros((24, 3)))
+        flips = [node for node in g.nodes if node.op == "transpose_last2"]
+        assert len(g.nodes) == nodes and len(flips) == transposes
+        assert all(g.nodes[node.inputs[0]].op != "parameter" for node in flips)
+
+    def test_layout_kept_through_train_and_checkpoint(self, tmp_path):
+        model = ForecastModel(tiny_config())
+        assert_stored_as_multiplied(model)
+        report = train(model, constant_target_dataset(), epochs=3, lr=0.05, batch=2, patience=0)
+        assert report.best_epoch >= 0  # the best parameters were restored
+        assert_stored_as_multiplied(model)
+        loaded, _, _ = load_checkpoint(save_plain(model, str(tmp_path / "m.npz")))
+        assert_stored_as_multiplied(loaded)
+
+
 class TestTrain:
     def test_constant_target_converges_fast(self):
         dataset = constant_target_dataset()
@@ -442,14 +476,21 @@ CORRUPT_CHECKPOINTS = {
             m.update(version=1),
             m["config"].update(d_head=2, cross_attention="literal"),
         )),
-        "version 1 != 3",
+        "version 1 != 4",
     ),
     "v2-checkpoint": (  # the version-2 schema: shapes listed, scaler optional
         lambda p: rewrite_manifest(p, lambda m: (
             m.update(version=2, param_shapes={"time.w": [8, 2]}),
             m.pop("scaler"),
         )),
-        "checkpoint version 2 != 3",
+        "checkpoint version 2 != 4",
+    ),
+    "v3-square-weights": (  # heads=1, n = m: every weight fits its v3 transpose's shape
+        lambda p: (
+            save_plain(ForecastModel(tiny_config(heads=1, m=8)), p),
+            rewrite_manifest(p, lambda m: m.update(version=3)),
+        ),
+        "checkpoint version 3 != 4",
     ),
     "no-scaler": (lambda p: rewrite_manifest(p, lambda m: m.pop("scaler")), "has no 'scaler'"),
     "no-feature-names": (
@@ -516,7 +557,7 @@ class TestCheckpoint:
         path = save_plain(ForecastModel(tiny_config()), str(tmp_path / "m.npz"))
         with np.load(path, allow_pickle=False) as payload:
             manifest = json.loads(str(payload["__manifest__"][()]))
-        assert CHECKPOINT_VERSION == 3 and manifest["version"] == 3
+        assert CHECKPOINT_VERSION == 4 and manifest["version"] == 4
         assert set(manifest) == {"version", "config", "param_names", "scaler", "feature_names"}
         assert list(manifest["config"]) == [f.name for f in dataclasses.fields(ModelConfig)]
 
