@@ -3,11 +3,11 @@
 This module holds everything the banded kernel is measured against: full
 (quadratic) attention, the banded causal mask, the masked-full-attention
 oracle that defines ground truth, a sampled-query attention baseline,
-permutation utilities for the equivariance checks, and the band-mass
-diagnostic that quantifies how much attention weight a band of a given
-width would capture.
+permutation utilities for the equivariance checks, and :func:`band_mass`,
+the diagnostic that measures how much attention weight trailing bands of
+given widths would capture.
 
-Functions prefixed with an underscore take an ``ops`` backend
+:func:`_full_attention` and :func:`_multi_head` take an ``ops`` backend
 (the :mod:`localattn.tensor` module or a :class:`localattn.autodiff.Graph`)
 and work on that backend's values, so the same code path runs plain or
 recorded: :func:`_full_attention` is the attention core every mechanism
@@ -15,7 +15,9 @@ but the sampled one runs through (``localattn.lam`` calls it per block),
 and :func:`_multi_head` is the model's multi-head wrapping. The public
 functions are eager and normalize through one in-place chain,
 :func:`_softmax_weights`, so :func:`full_attention` and the oracle stay
-an independent reference the core is checked against.
+an independent reference the core is checked against. :func:`_check_qkv`
+and :func:`_check_window` are plain shape and window checks, shared with
+``localattn.lam`` and ``localattn.model``.
 """
 
 from __future__ import annotations
@@ -38,8 +40,7 @@ __all__ = [
     "full_attention",
     "masked_full_attention_oracle",
     "prob_attention",
-    "attention_band_mass",
-    "band_mass_per_row",
+    "band_mass",
     "permute_rows",
 ]
 
@@ -234,20 +235,18 @@ def prob_attention(q: Tensor, k: Tensor, v: Tensor, seed: int = 0, counters=None
     return Tensor._wrap(out)
 
 
-def band_mass_per_row(q: Tensor, k: Tensor, window: int) -> Tensor:
-    """Per query row, the unmasked softmax weight falling inside the band.
+def band_mass(q: Tensor, k: Tensor, bands: Sequence[int]) -> list[float]:
+    """Per band L, the row mean of the unmasked softmax weight on columns i-L+1 .. i.
 
-    Row i's value is the sum of attention scores over columns
-    max(0, i-window+1) .. i of the dense, unmasked score matrix; in [0, 1].
+    The kept columns are the zeros of :func:`band_mask`; each value lies in
+    [0, 1]. The softmax runs once and every band is read from it.
     """
     n, _ = _check_qkv(q, k)
-    inside = band_mask(n, window).data == 0
-    return Tensor._wrap(np.sum(_softmax_weights(q, k) * inside, axis=1))
-
-
-def attention_band_mass(q: Tensor, k: Tensor, window: int) -> float:
-    """Mean over rows of :func:`band_mass_per_row`: fraction of mass kept."""
-    return float(band_mass_per_row(q, k, window).data.mean())
+    for band in bands:
+        _check_window(n, band)
+    weights = _softmax_weights(q, k)
+    lag = np.arange(n)[:, np.newaxis] - np.arange(n)
+    return [float(np.sum(weights * ((lag >= 0) & (lag < band)), axis=1).mean()) for band in bands]
 
 
 def permute_rows(x: Tensor, pi: Sequence[int]) -> Tensor:

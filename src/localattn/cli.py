@@ -17,13 +17,14 @@ import csv
 import math
 import os
 import resource
+import stat
 import sys
 import time
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .attention import attention_band_mass, full_attention, prob_attention, sample_count
+from .attention import band_mass, full_attention, prob_attention, sample_count
 from .data import (
     baseline_metrics,
     load_csv,
@@ -381,14 +382,11 @@ def cmd_train(args) -> int:
 
 
 def _capture_projected_qk(model: ForecastModel, x: Tensor):
-    """Run one forward recording each attention block's projected (q, k)."""
+    """Run one forward; return each attention head's (block label, head, q, k) in call order."""
     cfg = model.config
-    labels = []
-    for i in range(cfg.num_layers):
-        labels += [f"enc{i}"] * cfg.heads
-    for i in range(cfg.num_layers):
-        labels += [f"dec{i}.self"] * cfg.heads
-        labels += [f"dec{i}.cross"] * cfg.heads
+    blocks = [f"enc{i}" for i in range(cfg.num_layers)]
+    blocks += [f"dec{i}.{part}" for i in range(cfg.num_layers) for part in ("self", "cross")]
+    heads = [(block, head) for block in blocks for head in range(cfg.heads)]
     captured = []
     real_inner = model._inner()
 
@@ -397,15 +395,14 @@ def _capture_projected_qk(model: ForecastModel, x: Tensor):
         return real_inner(ops, q, k, v)
 
     model.forward(x, inner=probe)
-    if len(captured) != len(labels):
-        raise RuntimeError(
-            f"captured {len(captured)} attention calls, expected {len(labels)}"
-        )
-    head_cycle = [h for h in range(cfg.heads)] * (len(labels) // cfg.heads)
-    return [(labels[i], head_cycle[i], q, k) for i, (q, k) in enumerate(captured)]
+    if len(captured) != len(heads):
+        raise RuntimeError(f"captured {len(captured)} attention calls, expected {len(heads)}")
+    return [(block, head, q, k) for (block, head), (q, k) in zip(heads, captured)]
 
 
 def cmd_bandmass(args) -> int:
+    if args.out:
+        _check_out_file(args.out)
     model, scaler, _ = load_checkpoint(args.checkpoint)
     cfg = model.config
     raw = synth_series("sines", cfg.n, d=cfg.d_features, seed=args.seed)
@@ -420,9 +417,8 @@ def cmd_bandmass(args) -> int:
 
     lines = ["layer,head,L,band_mass"]
     for label, head, q, k in _capture_projected_qk(model, x):
-        for band in bands:
-            mass = attention_band_mass(q, k, band)
-            lines.append(f"{label},{head},{band},{mass!r}")
+        masses = band_mass(q, k, bands)
+        lines += [f"{label},{head},{band},{mass!r}" for band, mass in zip(bands, masses)]
     _write_or_print(lines, args.out, f"wrote {len(lines) - 1} rows to {args.out}")
     return 0
 
@@ -431,6 +427,7 @@ def cmd_bandmass(args) -> int:
 
 
 def cmd_forecast(args) -> int:
+    _check_out_file(args.out)
     model, scaler, feature_names = load_checkpoint(args.checkpoint)
     raw = _read_csv(args.input)
     cfg = model.config
@@ -472,9 +469,15 @@ def _open_out(path: str):
 def _check_out_dir(path: str) -> None:
     """Reject an output directory that cannot be made, before any work runs."""
     head = os.path.abspath(path)
-    while not os.path.exists(head):
-        head = os.path.dirname(head)
-    if not os.path.isdir(head):
+    while True:
+        try:
+            info = os.stat(head)
+            break
+        except FileNotFoundError:
+            head = os.path.dirname(head)
+        except OSError as exc:  # a name too long, a loop, no permission to search
+            raise ValueError(f"cannot write {path}: {exc}")
+    if not stat.S_ISDIR(info.st_mode):
         raise ValueError(f"--out {path}: {head} exists and is not a directory")
 
 

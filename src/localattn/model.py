@@ -309,14 +309,15 @@ def train(
     gets one line per epoch: the losses, the epoch's wall seconds
     (training plus validation) and its training windows per second. Raises
     :class:`TrainDivergenceError` if any loss goes non-finite, and
-    ``ValueError`` if the dataset has no training or validation windows.
+    ``ValueError`` if the dataset has no training or validation windows or
+    a setting is out of range (``lr`` must be finite and > 0).
     """
     if not dataset.train:
         raise ValueError("dataset has no training windows")
     if not dataset.val:
         raise ValueError("dataset has no validation windows")
-    if epochs < 0 or batch < 1 or patience < 0:
-        raise ValueError("need epochs >= 0, batch >= 1, patience >= 0")
+    if epochs < 0 or batch < 1 or patience < 0 or not 0 < lr < math.inf:
+        raise ValueError("need epochs >= 0, batch >= 1, patience >= 0 and a finite lr > 0")
     rng = np.random.default_rng(model.config.seed)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     moment1 = {k: np.zeros_like(t.data) for k, t in model.params.items()}

@@ -9,9 +9,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 from localattn.attention import (
     _multi_head,
     _resolve_inner,
-    attention_band_mass,
     band_mask,
-    band_mass_per_row,
+    band_mass,
     full_attention,
     _full_attention,
     masked_full_attention_oracle,
@@ -286,11 +285,18 @@ class TestProbAttention:
         assert_array_equal(a.data, b.data)
 
 
+def reference_band_mass(q, k, band):
+    """Per-row band mass the quadratic way: full attention's weights on band_mask's zeros."""
+    n = q.shape[0]
+    weights = full_attention(q, k, Tensor(np.eye(n))).data
+    return np.sum(weights * (band_mask(n, band).data == 0), axis=1)
+
+
 class TestBandMass:
     def test_single_position_is_one(self):
         q = Tensor([[1.0]])
         k = Tensor([[2.0]])
-        assert attention_band_mass(q, k, 1) == 1.0
+        assert band_mass(q, k, [1]) == [1.0]
 
     def test_zero_keys_closed_form(self):
         rng = np.random.default_rng(16)
@@ -298,22 +304,39 @@ class TestBandMass:
         q = Tensor(rng.standard_normal((n, 2)))
         k = Tensor.zeros((n, 2))
         expect = np.mean([min(i + 1, window) / n for i in range(n)])
-        assert_allclose(attention_band_mass(q, k, window), expect, atol=1e-12)
+        (mass,) = band_mass(q, k, [window])
+        assert_allclose(mass, expect, atol=1e-12)
 
     def test_monotone_in_window(self):
         rng = np.random.default_rng(17)
         q = Tensor(rng.standard_normal((12, 3)))
         k = Tensor(rng.standard_normal((12, 3)))
-        masses = [attention_band_mass(q, k, w) for w in range(1, 13)]
+        masses = band_mass(q, k, range(1, 13))
         assert all(a <= b + 1e-15 for a, b in zip(masses, masses[1:]))
 
-    def test_last_row_with_full_window_has_unit_mass(self):
+    def test_bitwise_equal_to_masked_reference(self):
+        """Each band's value is the row mean of the masked quadratic weights, bit for bit."""
         rng = np.random.default_rng(18)
-        n = 7
-        q = Tensor(rng.standard_normal((n, 2)))
-        k = Tensor(rng.standard_normal((n, 2)))
-        rows = band_mass_per_row(q, k, n).data
-        assert_allclose(rows[-1], 1.0, atol=1e-12)
+        for _ in range(40):
+            n, d = int(rng.integers(1, 80)), int(rng.integers(1, 7))
+            q = Tensor(rng.standard_normal((n, d)))
+            k = Tensor(rng.standard_normal((n, d)))
+            bands = [int(b) for b in rng.integers(1, n + 1, size=int(rng.integers(1, 6)))]
+            bands.append(n)
+            rows = [reference_band_mass(q, k, band) for band in bands]
+            assert band_mass(q, k, bands) == [float(r.mean()) for r in rows]
+            assert all(((r >= 0) & (r <= 1 + 1e-12)).all() for r in rows)
+            assert_allclose(rows[-1][-1], 1.0, atol=1e-12)  # last row, full window
+
+    @pytest.mark.parametrize("bands", [[0], [1, 7], [3, -1]])
+    def test_bad_band_rejected(self, bands):
+        q = Tensor(np.ones((6, 2)))
+        with pytest.raises(ValueError, match="window must be in"):
+            band_mass(q, q, bands)
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(DimensionError):
+            band_mass(Tensor(np.ones((6, 2))), Tensor(np.ones((5, 2))), [1])
 
 
 class TestPermuteRows:

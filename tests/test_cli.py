@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import localattn.cli as cli
+from localattn.attention import band_mask, full_attention
 from localattn.cli import BENCH_HEADER, main, parse_config, resolve_band
 from localattn.data import Scaler, load_csv, synth_series
 from localattn.model import ForecastModel, ModelConfig, save_checkpoint, train
@@ -316,6 +317,19 @@ class TestBandmassCommand:
             masses = [mass for _, mass in sorted(series)]
             assert all(a <= b + 1e-12 for a, b in zip(masses, masses[1:]))
 
+    def test_csv_equals_masked_reference(self, tmp_path):
+        """Every CSV value is, bit for bit, the masked quadratic band mass of its head."""
+        rows = self.run_bandmass(tmp_path)
+        model, scaler, _ = cli.load_checkpoint(str(tmp_path / "bandmass.npz"))
+        x = Tensor._wrap(scaler.transform(synth_series("sines", 32, d=2, seed=0).values))
+        expect = []
+        for label, head, q, k in cli._capture_projected_qk(model, x):
+            weights = full_attention(q, k, Tensor(np.eye(32))).data
+            for band in (1, 4, 32):
+                mass = np.sum(weights * (band_mask(32, band).data == 0), axis=1).mean()
+                expect.append((label, str(head), str(band), repr(float(mass))))
+        assert [tuple(row.values()) for row in rows] == expect
+
     def test_checkpoint_mode(self, tmp_path):
         model = ForecastModel(
             ModelConfig(d_features=2, n=32, m=4, d_model=4, num_layers=1, heads=2)
@@ -520,20 +534,22 @@ class TestMainPlumbing:
                 argv += ["--n-list", "64", "--repeats", "5", "--out", str(out)]
         elif case.startswith("out-"):  # an --out the command cannot write
             culprit = str(tmp_path / "nodir" / "x.csv")
-            if case == "out-bandmass":
+            if case == "out-bandmass":  # rejected before the checkpoint loads
                 argv = ["bandmass", "--checkpoint", bandmass_checkpoint(tmp_path), "--out", culprit]
+                monkeypatch.setattr(cli, "load_checkpoint", lambda *a: pytest.fail("loaded"))
             elif case == "out-bench":  # rejected before the sweep runs
                 monkeypatch.setattr(cli, "bench_records", lambda *a: pytest.fail("sweep ran"))
                 argv = ["bench", "--n-list", "512,1024", "--out", culprit]
-            elif case == "out-forecast":
+            elif case == "out-forecast":  # rejected before the checkpoint loads
                 ckpt, data, _ = forecast_fixture(tmp_path)
                 argv = ["forecast", "--checkpoint", ckpt, "--input", data, "--out", culprit]
+                monkeypatch.setattr(cli, "load_checkpoint", lambda *a: pytest.fail("loaded"))
             elif case == "out-train-file":  # an existing file where the directory goes
                 culprit = str(tmp_path / "taken")
                 (tmp_path / "taken").write_text("")
                 argv[-1] = culprit
-            else:  # a directory name too long to make, found after training
-                culprit, quiet = str(tmp_path / ("a" * 300) / "x"), False
+            else:  # a directory name too long to make, rejected before data loads
+                culprit = str(tmp_path / ("a" * 300) / "x")
                 argv[-1] = culprit
         elif case == "no-validation-windows":
             culprit, quiet = "no validation windows", False

@@ -310,6 +310,11 @@ class TestParameterLayout:
         assert_stored_as_multiplied(loaded)
 
 
+# an Adam step this small is below the spacing of every parameter but the
+# zero-initialized biases, and moves no loss: validation never improves
+FLAT_LR = 1e-300
+
+
 class TestTrain:
     def test_constant_target_converges_fast(self):
         dataset = constant_target_dataset()
@@ -317,16 +322,6 @@ class TestTrain:
         report = train(model, dataset, epochs=5, lr=0.05, batch=1, patience=0)
         assert report.train_mse[-1] < 1e-2
         assert report.train_mse[-1] < report.train_mse[0]
-
-    def test_zero_lr_freezes_everything(self):
-        dataset = constant_target_dataset()
-        model = ForecastModel(tiny_config())
-        before = {k: t.data.copy() for k, t in model.params.items()}
-        report = train(model, dataset, epochs=4, lr=0.0, batch=3, patience=0)
-        assert len(set(report.train_mse)) == 1
-        assert len(set(report.val_mse)) == 1
-        for name, t in model.params.items():
-            assert np.array_equal(t.data, before[name])
 
     def test_seeded_runs_reproduce_bitwise(self):
         dataset = constant_target_dataset()
@@ -352,7 +347,7 @@ class TestTrain:
     def test_plateau_stops_early(self):
         dataset = constant_target_dataset()
         model = ForecastModel(tiny_config())
-        report = train(model, dataset, epochs=10, lr=0.0, batch=3, patience=3)
+        report = train(model, dataset, epochs=10, lr=FLAT_LR, batch=3, patience=3)
         assert report.stopped_early
         assert report.epochs_run == 4  # epoch 0 best, then 3 stale epochs
         assert report.best_epoch == 0
@@ -360,7 +355,7 @@ class TestTrain:
     def test_reports_epoch_seconds_and_throughput(self):
         dataset = constant_target_dataset()
         lines = []
-        report = train(ForecastModel(tiny_config()), dataset, epochs=10, lr=0.0, batch=3,
+        report = train(ForecastModel(tiny_config()), dataset, epochs=10, lr=FLAT_LR, batch=3,
                        patience=2, log=lines.append)
         assert report.stopped_early
         assert len(report.epoch_seconds) == report.epochs_run == len(lines)
@@ -385,11 +380,15 @@ class TestTrain:
         with pytest.raises(ValueError, match="no training windows"):
             train(ForecastModel(tiny_config()), empty)
 
-    @pytest.mark.parametrize("kwargs", [dict(epochs=-1), dict(batch=0), dict(patience=-1)])
+    @pytest.mark.parametrize("kwargs", [
+        dict(epochs=-1), dict(batch=0), dict(patience=-1),
+        dict(lr=0.0), dict(lr=-1e-2), dict(lr=math.nan), dict(lr=math.inf),
+    ])
     def test_rejects_bad_arguments(self, kwargs):
         dataset = constant_target_dataset()
         with pytest.raises(ValueError):
-            train(ForecastModel(tiny_config()), dataset, **kwargs)
+            train(ForecastModel(tiny_config()), dataset,
+                  log=lambda line: pytest.fail(f"an epoch ran: {line}"), **kwargs)
 
     def test_zero_epochs_returns_empty_report(self):
         dataset = constant_target_dataset()
