@@ -3,7 +3,7 @@
 The package builds up in layers: dense tensor kernels with an operation
 counter (:mod:`localattn.tensor`, also the eager ``ops`` backend), a
 recording autodiff tape over the same vocabulary
-(:mod:`localattn.autodiff`), full / sampled attention and the banded
+(:mod:`localattn.autodiff`), full attention and the banded
 mask (:mod:`localattn.attention`), the block-decomposed local kernel
 (:mod:`localattn.lam`), a small encoder-decoder forecaster
 (:mod:`localattn.model`), series synthesis and windowing

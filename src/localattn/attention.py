@@ -2,20 +2,19 @@
 
 This module holds everything the banded kernel is measured against: full
 (quadratic) attention, the banded causal mask, the masked-full-attention
-oracle that defines ground truth, a sampled-query attention baseline,
-permutation utilities for the equivariance checks, and :func:`band_mass`,
-the diagnostic that measures how much attention weight trailing bands of
-given widths would capture.
+oracle that defines ground truth, permutation utilities for the
+equivariance checks, and :func:`band_mass`, the diagnostic that measures
+how much attention weight trailing bands of given widths would capture.
 
 :func:`_full_attention` and :func:`_multi_head` take an ``ops`` backend
 (the :mod:`localattn.tensor` module or a :class:`localattn.autodiff.Graph`)
 and work on that backend's values, so the same code path runs plain or
-recorded: :func:`_full_attention` is the attention core every mechanism
-but the sampled one runs through (``localattn.lam`` calls it per block),
-and :func:`_multi_head` is the model's multi-head wrapping. The public
-functions are eager and normalize through one in-place chain,
-:func:`_softmax_weights`, so :func:`full_attention` and the oracle stay
-an independent reference the core is checked against. :func:`_check_qkv`
+recorded: :func:`_full_attention` is the one attention core
+(``localattn.lam`` calls it per block), and :func:`_multi_head` is the
+model's multi-head wrapping. The public functions are eager and normalize
+through one in-place chain, :func:`_softmax_weights`, so
+:func:`full_attention` and the oracle stay an independent reference the
+core is checked against. :func:`_check_qkv`
 and :func:`_check_window` are plain shape and window checks, shared with
 ``localattn.lam`` and ``localattn.model``.
 """
@@ -39,7 +38,6 @@ __all__ = [
     "band_mask",
     "full_attention",
     "masked_full_attention_oracle",
-    "prob_attention",
     "band_mass",
     "permute_rows",
 ]
@@ -88,8 +86,8 @@ def _check_qkv(q: Tensor, k: Tensor, v: Tensor | None = None) -> tuple[int, int]
 def _softmax_weights(q: Tensor, k: Tensor, mask: Tensor | None = None) -> np.ndarray:
     """softmax((q kᵀ + mask) / sqrt(d_q)) in place on one owned score array.
 
-    The eager reference chain: full attention, the sampled baseline's
-    selected rows and the band-mass diagnostic all normalize through it.
+    The eager reference chain: full attention and the band-mass
+    diagnostic both normalize through it.
     """
     arr = matmul_batched(q, transpose_last2(k)).data
     if mask is not None:
@@ -187,52 +185,6 @@ def _resolve_inner(kind: str, window: int | None, seed: int):
 
         return lambda ops, q, k, v: _lam_attention(ops, q, k, v, window)
     raise ValueError(f"unknown attention kind {kind!r}; expected full or lam")
-
-
-def sample_count(n: int) -> int:
-    """How many queries / sampled keys the sampled baseline uses: 5*ceil(log2 n)."""
-    if n < 1:
-        raise ValueError(f"sequence length must be >= 1, got {n}")
-    if n == 1:
-        return 1
-    return min(n, 5 * math.ceil(math.log2(n)))
-
-
-def prob_attention(q: Tensor, k: Tensor, v: Tensor, seed: int = 0, counters=None) -> Tensor:
-    """Sampled-query attention: exact scores for few rows, value mean elsewhere.
-
-    Picks u = 5*ceil(log2 n) queries whose sampled scores look least
-    uniform (max minus mean over 5*ceil(log2 n) sampled keys each, drawn
-    with replacement), gives those rows exact softmax attention over all
-    keys, and fills every other row with the column mean of v, the limit
-    of a zeroed query. When u >= n the selection saturates and the result
-    is exactly full attention. With ``counters`` (as for
-    :func:`full_attention`) the n*u sampled and u*n selected scores are
-    recorded; the sampled ones are freed first, so the peak is n*u.
-    """
-    n, d_q = _check_qkv(q, k, v)
-    u = sample_count(n)
-    if u >= n:
-        return full_attention(q, k, v, counters=counters)
-    rng = np.random.default_rng(seed)
-    sampled = rng.integers(0, n, size=(n, u))
-    # one (u x d_q) @ (d_q x 1) product per query, through the counted path
-    k_samp = Tensor._wrap(k.data[sampled])
-    q_col = Tensor._wrap(q.data[:, :, np.newaxis])
-    samp_scores = matmul_batched(k_samp, q_col).data[..., 0] / math.sqrt(d_q)
-    sparsity = samp_scores.max(axis=1) - samp_scores.mean(axis=1)
-    del samp_scores
-    order = np.argsort(-sparsity, kind="stable")
-    selected = np.sort(order[:u])
-
-    out = np.tile(v.data.mean(axis=0), (n, 1))
-    weights = _softmax_weights(Tensor._wrap(q.data[selected]), k)
-    out[selected] = matmul_batched(Tensor._wrap(weights), v).data
-    if counters is not None:
-        counters.dot_products += 2 * n * u
-        counters.score_alloc(n * u)
-        counters.score_free(n * u)
-    return Tensor._wrap(out)
 
 
 def band_mass(q: Tensor, k: Tensor, bands: Sequence[int]) -> list[float]:

@@ -80,8 +80,8 @@ class Graph:
         av, bv = a.value.data, b.value.data
 
         def vjp(g):
-            ga = np.matmul(g, np.swapaxes(bv, -1, -2))
-            gb = np.matmul(np.swapaxes(av, -1, -2), g)
+            ga = np.matmul(g, bv.swapaxes(-1, -2))
+            gb = np.matmul(av.swapaxes(-1, -2), g)
             return ga, gb
 
         return self._record("matmul_batched", (a, b), out, vjp)
@@ -90,7 +90,7 @@ class Graph:
         out = T.transpose_last2(a.value)
 
         def vjp(g):
-            return (np.swapaxes(g, -1, -2),)
+            return (g.swapaxes(-1, -2),)
 
         return self._record("transpose_last2", (a,), out, vjp)
 
@@ -201,7 +201,11 @@ class Graph:
     def backward(self, loss: Node) -> dict[int, Tensor]:
         """Gradients of a scalar loss w.r.t. every parameter node.
 
-        Returns a map from parameter node id to its gradient tensor.
+        Returns a map from parameter node id to its gradient tensor. A
+        node's first VJP contribution is kept as it is, not copied, so it
+        may share memory with another node's gradient; only a second
+        contribution makes an owned sum, and only owned sums are added to
+        in place, so no stored gradient is ever written through.
         """
         if loss.value.ndim != 0 and loss.value.size != 1:
             raise GraphContractError(
@@ -210,6 +214,7 @@ class Graph:
         for node in self.nodes:
             node.grad = None
         loss.grad = np.ones_like(loss.value.data)
+        owned = set()
         for node in reversed(self.nodes[: loss.id + 1]):
             if node.grad is None or node._vjp is None:
                 continue
@@ -218,9 +223,12 @@ class Graph:
                 if src.op == "constant":
                     continue
                 if src.grad is None:
-                    src.grad = np.array(g)
-                else:
+                    src.grad = g
+                elif input_id in owned:
                     src.grad += g
+                else:
+                    src.grad = src.grad + g
+                    owned.add(input_id)
         return {
             n.id: Tensor._wrap(n.grad if n.grad is not None else np.zeros_like(n.value.data))
             for n in self.nodes

@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .attention import band_mass, full_attention, prob_attention, sample_count
+from .attention import band_mass, full_attention
 from .data import (
     baseline_metrics,
     load_csv,
@@ -138,22 +138,17 @@ def _estimated_bytes(mechanism: str, n: int, window: int, d: int) -> int:
     operands = 4 * n * d * 8
     if mechanism == "full":
         return n * n * 8 + operands
-    if mechanism == "lam":
-        peak = score_counts(n, window)[1]  # plus the key and value slabs' rows
-        return peak * 8 + 2 * (peak // window) * d * 8 + operands
-    u = sample_count(n)
-    return 2 * n * u * 8 + operands
+    peak = score_counts(n, window)[1]  # plus the key and value slabs' rows
+    return peak * 8 + 2 * (peak // window) * d * 8 + operands
 
 
-def _run_mechanism(mechanism: str, q, k, v, window: int, seed: int):
+def _run_mechanism(mechanism: str, q, k, v, window: int):
     """One forward; returns its counters' (dot_products, peak_score_elements)."""
     counters = LamCounters()
     if mechanism == "lam":
         lam_forward(q, k, v, window, counters=counters)
-    elif mechanism == "full":
-        full_attention(q, k, v, counters=counters)
     else:
-        prob_attention(q, k, v, seed=seed, counters=counters)
+        full_attention(q, k, v, counters=counters)
     return counters.dot_products, counters.peak_score_elements
 
 
@@ -190,11 +185,11 @@ def bench_records(n_list, mechanisms, l_rule, repeats, d_model, seed):
                 )
                 continue
             try:
-                dots, peak = _run_mechanism(mechanism, q, k, v, window, seed)
+                dots, peak = _run_mechanism(mechanism, q, k, v, window)
                 times = []
                 for _ in range(repeats):
                     t0 = time.perf_counter_ns()
-                    _run_mechanism(mechanism, q, k, v, window, seed)
+                    _run_mechanism(mechanism, q, k, v, window)
                     times.append(time.perf_counter_ns() - t0)
             except MemoryError:
                 skipped.append((mechanism, n, window, "MemoryError during run"))
@@ -234,9 +229,9 @@ def cmd_bench(args) -> int:
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError(f"--n-list must be strictly ascending, got {n_list}")
     mechanisms = [m.strip() for m in args.mechanisms.split(",") if m.strip()]
-    bad = [m for m in mechanisms if m not in ("full", "lam", "prob")]
+    bad = [m for m in mechanisms if m not in ("full", "lam")]
     if bad or not mechanisms:
-        raise ValueError(f"--mechanisms must name full, lam and/or prob, got {args.mechanisms!r}")
+        raise ValueError(f"--mechanisms must name full and/or lam, got {args.mechanisms!r}")
     if args.repeats < 5:
         raise ValueError(f"--repeats must be >= 5 for a stable median, got {args.repeats}")
     if args.d_model < 1:

@@ -22,7 +22,10 @@ band, so the mask holds at most two blocks, O(window^2) at any n, and
 ``masked_softmax`` adds it, scales and normalizes in one owned score
 buffer. Rows past s*window (when window does not divide n) run as one
 direct masked slab: a ``rows`` slice of the queries against the last
-window-1+remainder keys. :func:`score_counts` is the closed form of the
+window-1+remainder keys. Both masks are pure functions of a few
+integers, so each is built once per key in a bounded memo and shared
+read-only: the block mask keyed on (min(s, 2), window, pad_guard), the
+slab's on (rem, window). :func:`score_counts` is the closed form of the
 work this layout does, the one copy every count check compares against.
 
 The blocks and the slab both attend through
@@ -33,6 +36,7 @@ same kernel runs eagerly or on the autodiff tape.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -97,20 +101,27 @@ def local_mask(s: int, window: int, pad_guard: bool = True) -> Tensor:
     holds min(s, 2) blocks and ``masked_softmax`` applies the last one to
     every later score block. ``pad_guard=False`` drops block 0's guard,
     leaving the one band block; it exists only to demonstrate the failure
-    it causes.
+    it causes. The mask is built once per (min(s, 2), window, pad_guard)
+    and shared read-only by every later call with that key.
     """
     if s < 1 or window < 1:
         raise ValueError(f"need s >= 1 and window >= 1, got s={s}, window={window}")
+    return _block_mask(min(s, 2), window, pad_guard)
+
+
+@functools.lru_cache(maxsize=8)
+def _block_mask(blocks: int, window: int, pad_guard: bool) -> Tensor:
     width = 2 * window - 1
     i1 = np.arange(window)[:, np.newaxis]
     j1 = np.arange(width)[np.newaxis, :]
     band = (i1 <= j1) & (j1 <= i1 + window - 1)
-    blocks = [band & (j1 >= window - 1), band][: min(s, 2)] if pad_guard else [band]
-    return Tensor._wrap(np.where(np.stack(blocks), 0.0, -np.inf))
+    kept = [band & (j1 >= window - 1), band][:blocks] if pad_guard else [band]
+    return _read_only(np.where(np.stack(kept), 0.0, -np.inf))
 
 
+@functools.lru_cache(maxsize=8)
 def _remainder_mask(rem: int, window: int) -> Tensor:
-    """Band mask for the trailing rows against their key slab.
+    """Band mask for the trailing rows against their key slab, built once per key.
 
     Slab column c maps to source row s*window - window + 1 + c; row t
     (source row s*window + t) keeps c in [t, t + window - 1].
@@ -118,7 +129,12 @@ def _remainder_mask(rem: int, window: int) -> Tensor:
     t = np.arange(rem)[:, np.newaxis]
     c = np.arange(rem + window - 1)[np.newaxis, :]
     keep = (t <= c) & (c <= t + window - 1)
-    return Tensor._wrap(np.where(keep, 0.0, -np.inf))
+    return _read_only(np.where(keep, 0.0, -np.inf))
+
+
+def _read_only(arr: np.ndarray) -> Tensor:
+    arr.flags.writeable = False
+    return Tensor._wrap(arr)
 
 
 def _lam_attention(ops, q, k, v, window: int, counters: LamCounters | None = None,

@@ -137,13 +137,14 @@ def matmul_batched(a: Tensor, b: Tensor) -> Tensor:
     Both operands are rank 2, or both rank 3 with equal batch extents.
     Counts one dot product per output element into the module counter.
     """
-    if a.ndim != b.ndim or a.ndim not in (2, 3):
+    ash, bsh = a.data.shape, b.data.shape
+    if len(ash) != len(bsh) or len(ash) not in (2, 3):
         raise DimensionError(f"matmul operands must both be rank 2 or both rank 3, "
-                             f"got {a.shape} vs {b.shape}")
-    if a.shape[:-2] != b.shape[:-2]:
-        raise DimensionError(f"batch extents disagree: {a.shape} vs {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise DimensionError(f"inner extents disagree: {a.shape} vs {b.shape}")
+                             f"got {ash} vs {bsh}")
+    if ash[:-2] != bsh[:-2]:
+        raise DimensionError(f"batch extents disagree: {ash} vs {bsh}")
+    if ash[-1] != bsh[-2]:
+        raise DimensionError(f"inner extents disagree: {ash} vs {bsh}")
     out = np.matmul(a.data, b.data)
     _COUNTER.dot_products += out.size
     return Tensor._wrap(out)
@@ -154,12 +155,12 @@ def _softmax_lastdim_inplace(arr: np.ndarray) -> np.ndarray:
 
     Row-max subtraction keeps exp in range; -inf inputs map to exact zeros.
     """
-    rowmax = np.max(arr, axis=-1, keepdims=True)
+    rowmax = arr.max(axis=-1, keepdims=True)
     if np.isneginf(rowmax).any():
         raise DegenerateRowError("softmax row with no finite entry cannot be normalized")
     arr -= rowmax
     np.exp(arr, out=arr)
-    arr /= np.sum(arr, axis=-1, keepdims=True)
+    arr /= arr.sum(axis=-1, keepdims=True)
     return arr
 
 
@@ -241,8 +242,9 @@ def row_blocks(m: Tensor, window: int, width: int) -> Tensor:
     padded = np.zeros((lead + s * window, d))
     padded[lead:] = m.data[: s * window]
     row, col = padded.strides
-    return Tensor._wrap(np.lib.stride_tricks.as_strided(
-        padded, (s, width, d), (window * row, row, col), writeable=False))
+    blocks = np.ndarray((s, width, d), padded.dtype, padded, 0, (window * row, row, col))
+    blocks.flags.writeable = False
+    return Tensor._wrap(blocks)
 
 
 def rows(m: Tensor, start: int, stop: int) -> Tensor:
@@ -319,9 +321,10 @@ def scale(t: Tensor, c: float) -> Tensor:
 
 
 def transpose_last2(t: Tensor) -> Tensor:
-    if t.ndim < 2:
-        raise DimensionError(f"need rank >= 2 to transpose, got shape {t.shape}")
-    return Tensor._wrap(np.swapaxes(t.data, -1, -2))
+    arr = t.data
+    if arr.ndim < 2:
+        raise DimensionError(f"need rank >= 2 to transpose, got shape {arr.shape}")
+    return Tensor._wrap(arr.swapaxes(-1, -2))
 
 
 def reshape(t: Tensor, shape: Iterable[int]) -> Tensor:

@@ -1,4 +1,4 @@
-"""Dense attention baselines: masks, oracle, heads, sampling, permutations."""
+"""Dense attention baselines: masks, oracle, heads, permutations."""
 
 import math
 
@@ -15,8 +15,6 @@ from localattn.attention import (
     _full_attention,
     masked_full_attention_oracle,
     permute_rows,
-    prob_attention,
-    sample_count,
 )
 from localattn import tensor
 from localattn.tensor import DimensionError, Tensor
@@ -238,51 +236,6 @@ class TestMultiHead:
     def test_lam_kind_needs_window(self):
         with pytest.raises(ValueError, match="window"):
             _resolve_inner("lam", None, 0)
-
-
-class TestProbAttention:
-    def test_saturated_selection_equals_full(self):
-        # n=8: 5*ceil(log2 8) = 15 >= 8, every query selected
-        rng = np.random.default_rng(12)
-        q = Tensor(rng.standard_normal((8, 3)))
-        k = Tensor(rng.standard_normal((8, 3)))
-        v = Tensor(rng.standard_normal((8, 2)))
-        assert sample_count(8) >= 8
-        assert_array_equal(
-            prob_attention(q, k, v, seed=0).data, full_attention(q, k, v).data
-        )
-
-    def test_zero_queries_give_column_mean_everywhere(self):
-        rng = np.random.default_rng(13)
-        n = 64
-        q = Tensor.zeros((n, 3))
-        k = Tensor(rng.standard_normal((n, 3)))
-        v = Tensor(rng.standard_normal((n, 2)))
-        out = prob_attention(q, k, v, seed=0)
-        assert_allclose(out.data, np.tile(v.data.mean(axis=0), (n, 1)), atol=1e-15)
-
-    def test_non_selected_rows_are_exact_value_mean(self):
-        rng = np.random.default_rng(14)
-        n = 64
-        u = sample_count(n)
-        assert u < n
-        q = Tensor(rng.standard_normal((n, 4)))
-        k = Tensor(rng.standard_normal((n, 4)))
-        v = Tensor(rng.standard_normal((n, 3)))
-        out = prob_attention(q, k, v, seed=5)
-        mean = v.data.mean(axis=0)
-        mean_rows = [i for i in range(n) if np.array_equal(out.data[i], mean)]
-        assert len(mean_rows) == n - u
-
-    def test_seed_reproducibility(self):
-        rng = np.random.default_rng(15)
-        n = 64
-        q = Tensor(rng.standard_normal((n, 4)))
-        k = Tensor(rng.standard_normal((n, 4)))
-        v = Tensor(rng.standard_normal((n, 3)))
-        a = prob_attention(q, k, v, seed=9)
-        b = prob_attention(q, k, v, seed=9)
-        assert_array_equal(a.data, b.data)
 
 
 def reference_band_mass(q, k, band):

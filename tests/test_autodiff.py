@@ -192,3 +192,101 @@ class TestPerOpGradients:
     def test_composite_attention_shaped_chain(self):
         """softmax(QK^T / sqrt(d)) V with grads through Q."""
         assert_op_gradients("attention-chain")
+
+
+def reference_backward(graph, loss):
+    """Every node's gradient with each first contribution copied: the ownership-free rule."""
+    grads = {loss.id: np.ones_like(loss.value.data)}
+    for node in reversed(graph.nodes[: loss.id + 1]):
+        if node.id not in grads or node._vjp is None:
+            continue
+        for input_id, g in zip(node.inputs, node._vjp(grads[node.id])):
+            if graph.nodes[input_id].op == "constant":
+                continue
+            if input_id in grads:
+                grads[input_id] += g
+            else:
+                grads[input_id] = np.array(g)
+    return grads
+
+
+def watch_vjps(graph):
+    """Wrap every VJP to keep (array, copy) of its incoming and outgoing gradients."""
+    seen = []
+
+    def wrap(vjp):
+        def watched(g):
+            outs = vjp(g)
+            seen.extend((a, np.array(a)) for a in (g, *outs))
+            return outs
+
+        return watched
+
+    for node in graph.nodes:
+        if node._vjp is not None:
+            node._vjp = wrap(node._vjp)
+    return seen
+
+
+def build_self_add(g, x):
+    """add(x, x): both of add's VJP outputs are one array."""
+    return g.add(x, x)
+
+
+def build_diamond(g, x):
+    """x feeds three products, so its gradient gets a kept, a summed and an in-place term."""
+    rng = np.random.default_rng(3)
+    w = [g.constant(Tensor(rng.standard_normal((4, 2)))) for _ in range(3)]
+    p, q, r = (g.matmul_batched(x, wi) for wi in w)
+    return g.add(g.add(p, q), r)
+
+
+def build_shared_transpose(g, x):
+    """A transpose_last2 view with two consumers, recorded after x's direct consumer.
+
+    Backward reaches x first through the view's VJP (a view of the
+    transpose node's gradient), then through the direct product.
+    """
+    rng = np.random.default_rng(4)
+    direct = g.matmul_batched(x, g.constant(Tensor(rng.standard_normal((4, 3)))))
+    t = g.transpose_last2(x)
+    a = g.matmul_batched(g.constant(Tensor(rng.standard_normal((3, 4)))), t)
+    b = g.matmul_batched(g.constant(Tensor(rng.standard_normal((3, 4)))), t)
+    return g.add(direct, g.add(a, b))
+
+
+class TestGradientOwnership:
+    """First contributions are kept uncopied, and no stored gradient is written through."""
+
+    X = Tensor(np.random.default_rng(2).standard_normal((3, 4)))
+
+    def loss(self, build, x):
+        g = Graph()
+        p = g.parameter(x)
+        out = build(g, p)
+        return g, p, g.mse(out, Tensor(np.zeros(out.shape)))
+
+    @pytest.mark.parametrize("build", [build_self_add, build_diamond, build_shared_transpose])
+    def test_gradients_match_finite_differences(self, build):
+        g, p, loss = self.loss(build, self.X)
+        got = g.backward(loss)[p.id].data
+        want = finite_diff_grad(lambda t: self.loss(build, t)[2].value.item(), self.X).data
+        assert np.max(np.abs(got - want)) / max(1.0, np.max(np.abs(want))) <= 1e-6
+
+    @pytest.mark.parametrize("build", [build_self_add, build_diamond, build_shared_transpose])
+    def test_no_saved_gradient_changes_later(self, build):
+        g, _, loss = self.loss(build, self.X)
+        seen = watch_vjps(g)
+        g.backward(loss)
+        assert seen
+        for arr, snapshot in seen:
+            assert_array_equal(arr, snapshot)
+
+    @pytest.mark.parametrize("build", [build_self_add, build_diamond, build_shared_transpose])
+    def test_bitwise_equal_to_copying_every_first_term(self, build):
+        g, _, loss = self.loss(build, self.X)
+        g.backward(loss)
+        want = reference_backward(g, loss)
+        for node in g.nodes:
+            if node.op != "constant":
+                assert_array_equal(node.grad, want[node.id])

@@ -79,18 +79,6 @@ class TestBenchCommand:
         assert "slope(lam)" in stdout and "slope(full)" in stdout
         assert "peak RSS" in stdout
 
-    def test_prob_mechanism_rows(self, tmp_path, capsys):
-        text, _ = self.run_bench(
-            tmp_path, capsys, "--mechanisms", "prob", "--n-list", "16,64,256"
-        )
-        rows = [line.split(",") for line in text.strip().splitlines()[1:]]
-        assert all(row[0] == "prob" for row in rows)
-        # score-stage products only: n^2 once u = 5*ceil(log2 n) >= n (full
-        # attention), else n*u sampled plus u*n selected; peak n*u either way
-        got = {int(row[1]): (int(row[5]), int(row[6])) for row in rows}
-        assert got == {16: (256, 256), 64: (2 * 64 * 30, 64 * 30),
-                       256: (2 * 256 * 40, 256 * 40)}
-
     def test_determinism_of_counts(self, tmp_path, capsys):
         text1, _ = self.run_bench(tmp_path, capsys)
         text2, _ = self.run_bench(tmp_path, capsys)
@@ -125,6 +113,7 @@ class TestBenchCommand:
             ["bench", "--repeats", "3"],
             ["bench", "--l-rule", "fixed:x"],
             ["bench", "--l-rule", "log"],
+            ["bench", "--mechanisms", "prob"],
         ],
     )
     def test_usage_errors(self, argv, capsys):

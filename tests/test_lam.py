@@ -161,6 +161,75 @@ class TestLocalMask:
         assert local_mask(s, 5, pad_guard).shape == (blocks, 5, 9)
 
 
+def reference_block_mask(s, window, pad_guard):
+    """The block mask in source coordinates, built afresh on every call.
+
+    Block r's row i1 is source row r*window + i1 and its slab column j1 is
+    source row r*window - window + 1 + j1; a row keeps keys i-window+1 .. i,
+    and block 0 also needs j >= 0 when guarded. Unguarded, only the band
+    that every block r >= 1 shares is kept.
+    """
+    blocks = range(min(s, 2)) if pad_guard else [1]
+    masks = []
+    for r in blocks:
+        i = r * window + np.arange(window)[:, np.newaxis]
+        j = r * window - window + 1 + np.arange(2 * window - 1)[np.newaxis, :]
+        masks.append(np.where((i - window + 1 <= j) & (j <= i) & (j >= 0), 0.0, -np.inf))
+    return np.stack(masks)
+
+
+def reference_remainder_mask(rem, window):
+    """Trailing row t is source row window + t; slab column c is source row 1 + c."""
+    i = window + np.arange(rem)[:, np.newaxis]
+    j = 1 + np.arange(rem + window - 1)[np.newaxis, :]
+    return np.where((i - window + 1 <= j) & (j <= i), 0.0, -np.inf)
+
+
+class TestMaskMemo:
+    """Both masks are built once per key and shared read-only."""
+
+    @given(st.integers(1, 40), st.integers(1, 16), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_block_mask_equals_fresh_reference(self, s, window, pad_guard):
+        assert_array_equal(local_mask(s, window, pad_guard).data,
+                           reference_block_mask(s, window, pad_guard))
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_remainder_mask_equals_fresh_reference(self, data):
+        window = data.draw(st.integers(2, 16), label="window")
+        rem = data.draw(st.integers(1, window - 1), label="rem")
+        assert_array_equal(lam._remainder_mask(rem, window).data,
+                           reference_remainder_mask(rem, window))
+
+    @pytest.mark.parametrize("build", [lambda: local_mask(3, 4), lambda: local_mask(3, 4, False),
+                                       lambda: lam._remainder_mask(2, 4)])
+    def test_masks_are_read_only(self, build):
+        m = build().data
+        assert not m.flags.writeable
+        with pytest.raises(ValueError):
+            m[0, 0] = 1.0
+
+    def test_one_key_one_shared_array(self):
+        # block counts 3 and 7 both store min(s, 2) = 2 blocks
+        assert local_mask(3, 4).data is local_mask(7, 4).data
+        assert local_mask(3, 4, False).data is local_mask(5, 4, False).data
+        assert local_mask(3, 4).data is not local_mask(3, 4, False).data
+        assert lam._remainder_mask(2, 4).data is lam._remainder_mask(2, 4).data
+
+    def test_guarded_and_unguarded_calls_do_not_share_a_mask(self):
+        """Criterion 6's fault stays visible in any call order within one process."""
+        rng = np.random.default_rng(12)
+        q, k, v = random_qkv(rng, 14, 3, 2)  # window 4 leaves two trailing rows
+        want = masked_full_attention_oracle(q, k, v, 4)
+        row_dev = lambda pad_guard: np.max(
+            np.abs(lam_forward(q, k, v, 4, pad_guard=pad_guard).data - want.data), axis=1)
+        assert row_dev(True).max() <= 1e-12
+        bad = row_dev(False)
+        assert (bad[:3] > 1e-3).all() and (bad[3:] <= 1e-12).all()
+        assert row_dev(True).max() <= 1e-12
+
+
 class TestKernel:
     def test_window1_returns_values_exactly(self):
         rng = np.random.default_rng(5)

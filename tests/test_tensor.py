@@ -20,6 +20,7 @@ from localattn.tensor import (
     matmul_batched,
     op_counter,
     reshape,
+    row_blocks,
     rows,
     scale,
     softmax_lastdim,
@@ -284,6 +285,19 @@ class TestRows:
     def test_rank3_source_rejected(self):
         with pytest.raises(DimensionError):
             rows(Tensor(np.zeros((1, 2, 3))), 0, 1)
+
+
+class TestRowBlocks:
+    def test_read_only_strided_view_of_one_padded_buffer(self):
+        m = Tensor(np.arange(24.0).reshape(8, 3))
+        out = row_blocks(m, 2, 3).data
+        assert not out.flags.writeable
+        with pytest.raises(ValueError):
+            out[0, 0, 0] = 1.0
+        assert np.shares_memory(out[0], out[1])
+        assert not np.shares_memory(out, m.data)
+        row, col = 3 * 8, 8  # the padded copy is C-contiguous float64, d = 3
+        assert out.strides == (2 * row, row, col)
 
 
 class TestConcat:
