@@ -3,7 +3,9 @@
 A :class:`Graph` exposes the same operation vocabulary as the eager
 backend, the :mod:`localattn.tensor` module itself, so any kernel written
 against that interface can be recorded and differentiated without a
-second implementation. Forward values are computed immediately
+second implementation. Each differentiable op is one row of :data:`VJPS`,
+and one recorder makes every row a ``Graph`` method that runs the eager
+``tensor`` function of that name. Forward values are computed immediately
 (define-by-run); the tape's insertion order is a topological order by
 construction, and backward walks it in reverse accumulating
 vector-Jacobian products.
@@ -19,14 +21,14 @@ rule here; it never touches the tape.
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .tensor import DimensionError, Tensor
 from . import tensor as T
 
-__all__ = ["Node", "Graph", "GraphContractError", "finite_diff_grad"]
+__all__ = ["Node", "Graph", "GraphContractError", "VJPS", "SEQUENCE", "finite_diff_grad"]
 
 
 class GraphContractError(ValueError):
@@ -34,17 +36,24 @@ class GraphContractError(ValueError):
 
 
 class Node:
-    """One record on the tape: op kind, input node ids, saved forward value."""
+    """One record on the tape: op kind, input node ids, forward value and what its VJP reads.
 
-    __slots__ = ("id", "op", "inputs", "value", "grad", "_vjp")
+    ``rule`` is the op's :data:`VJPS` rule (None for leaves); ``arrays`` and
+    ``static`` are the input arrays and static arguments it is called with.
+    """
 
-    def __init__(self, id: int, op: str, inputs: tuple[int, ...], value: Tensor, vjp):
+    __slots__ = ("id", "op", "inputs", "value", "grad", "rule", "arrays", "static")
+
+    def __init__(self, id: int, op: str, inputs: tuple[int, ...], value: Tensor,
+                 rule=None, arrays: tuple = (), static: tuple = ()):
         self.id = id
         self.op = op
         self.inputs = inputs
         self.value = value
         self.grad: np.ndarray | None = None
-        self._vjp = vjp
+        self.rule = rule
+        self.arrays = arrays
+        self.static = static
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -54,131 +63,99 @@ class Node:
         return f"Node({self.id}, {self.op}, shape={self.value.shape})"
 
 
+def _matmul_vjp(g, out, arrays):
+    a, b = arrays
+    return np.matmul(g, b.swapaxes(-1, -2)), np.matmul(a.swapaxes(-1, -2), g)
+
+
+def _masked_softmax_vjp(g, y, arrays, mask, c):
+    # y is exactly 0 at masked inputs, so those entries get zero grad
+    inner = np.sum(g * y, axis=-1, keepdims=True)
+    return (y * (g - inner) * c,)
+
+
+def _affine_vjp(g, out, arrays, alpha=None):
+    x, w, _ = arrays
+    # a slope alpha > 0 keeps the sign, so out >= 0 exactly where x @ w + b >= 0
+    gpre = g if alpha is None else g * np.where(out >= 0, 1.0, alpha)
+    return gpre @ w.T, x.T @ gpre, gpre.sum(axis=0)
+
+
+def _row_blocks_vjp(g, out, arrays, window, width):
+    # overlap-add: each block's last `window` rows are its own source
+    # rows, its first `lead` rows the previous block's last ones
+    (n, d), s, lead = arrays[0].shape, out.shape[0], width - window
+    gm = np.zeros((n, d), dtype=g.dtype)
+    gm[: s * window] = g[:, lead:].reshape(s * window, d)
+    prev = gm[: (s - 1) * window].reshape(s - 1, window, d)
+    prev[:, window - lead :] += g[1:, :lead]
+    return (gm,)
+
+
+def _rows_vjp(g, out, arrays, start, stop):
+    gm = np.zeros(arrays[0].shape, dtype=g.dtype)
+    gm[start:stop] = g
+    return (gm,)
+
+
+def _split_vjp(axis: int):
+    """The VJP of a concatenation along ``axis`` (0 or -1): g cut back into the parts."""
+    lead = () if axis == 0 else (Ellipsis,)
+
+    def vjp(g, out, arrays):
+        ends = list(accumulate(a.shape[axis] for a in arrays))
+        return [g[(*lead, slice(start, stop))] for start, stop in zip([0] + ends, ends)]
+
+    return vjp
+
+
+def _mse_vjp(g, out, arrays, diff):
+    return (g * 2.0 * diff / diff.size,)
+
+
+SEQUENCE = "sequence"  # the node inputs are one list of nodes, the first argument
+
+# op name -> (node inputs, VJP rule). The node inputs are the leading
+# arguments of ``tensor.<name>`` (or its first one, a list, for SEQUENCE);
+# the arguments after them are static. A rule maps (g, out, input arrays,
+# *static) to one gradient per node input.
+VJPS = {
+    "matmul_batched": (2, _matmul_vjp),
+    "transpose_last2": (1, lambda g, out, arrays: (g.swapaxes(-1, -2),)),
+    "masked_softmax": (1, _masked_softmax_vjp),
+    "add": (2, lambda g, out, arrays: (g, g)),
+    "affine": (3, _affine_vjp),
+    "row_blocks": (1, _row_blocks_vjp),
+    "rows": (1, _rows_vjp),
+    "concat_axis0": (SEQUENCE, _split_vjp(0)),
+    "concat_lastdim": (SEQUENCE, _split_vjp(-1)),
+    "reshape": (1, lambda g, out, arrays, shape: (g.reshape(arrays[0].shape),)),
+}
+
+
 class Graph:
-    """Append-only tape of operations; insertion order is topological."""
+    """Append-only tape of operations; insertion order is topological.
+
+    Every :data:`VJPS` op is a method too, with ``tensor``'s arguments and nodes for tensors.
+    """
 
     def __init__(self):
         self.nodes: list[Node] = []
 
-    def _record(self, op: str, inputs: Sequence[Node], value: Tensor, vjp) -> Node:
-        node = Node(len(self.nodes), op, tuple(n.id for n in inputs), value, vjp)
+    def _record(self, op: str, inputs, value: Tensor, rule=None, arrays=(), static=()) -> Node:
+        node = Node(len(self.nodes), op, tuple([n.id for n in inputs]), value, rule, arrays, static)
         self.nodes.append(node)
         return node
 
     # -- leaves ----------------------------------------------------------
 
     def parameter(self, t: Tensor) -> Node:
-        return self._record("parameter", (), t, None)
+        return self._record("parameter", (), t)
 
     def constant(self, t: Tensor) -> Node:
-        return self._record("constant", (), t, None)
+        return self._record("constant", (), t)
 
     # -- operations ------------------------------------------------------
-
-    def matmul_batched(self, a: Node, b: Node) -> Node:
-        out = T.matmul_batched(a.value, b.value)
-        av, bv = a.value.data, b.value.data
-
-        def vjp(g):
-            ga = np.matmul(g, bv.swapaxes(-1, -2))
-            gb = np.matmul(av.swapaxes(-1, -2), g)
-            return ga, gb
-
-        return self._record("matmul_batched", (a, b), out, vjp)
-
-    def transpose_last2(self, a: Node) -> Node:
-        out = T.transpose_last2(a.value)
-
-        def vjp(g):
-            return (g.swapaxes(-1, -2),)
-
-        return self._record("transpose_last2", (a,), out, vjp)
-
-    def masked_softmax(self, scores: Node, mask: Tensor | None, c: float) -> Node:
-        out = T.masked_softmax(scores.value, mask, c)
-        y = out.data
-
-        def vjp(g):
-            # y is exactly 0 at masked inputs, so those entries get zero grad
-            inner = np.sum(g * y, axis=-1, keepdims=True)
-            return (y * (g - inner) * c,)
-
-        return self._record("masked_softmax", (scores,), out, vjp)
-
-    def add(self, a: Node, b: Node) -> Node:
-        out = T.add(a.value, b.value)
-
-        def vjp(g):
-            return g, g
-
-        return self._record("add", (a, b), out, vjp)
-
-    def affine(self, x: Node, w: Node, b: Node, alpha: float | None = None) -> Node:
-        out = T.affine(x.value, w.value, b.value)
-        pre = out.data
-        if alpha is not None:
-            out = Tensor._wrap(T._leaky(pre, alpha))
-        xv, wv = x.value.data, w.value.data
-
-        def vjp(g):
-            gpre = g if alpha is None else g * np.where(pre >= 0, 1.0, alpha)
-            return gpre @ wv.T, xv.T @ gpre, gpre.sum(axis=0)
-
-        return self._record("affine", (x, w, b), out, vjp)
-
-    def row_blocks(self, m: Node, window: int, width: int) -> Node:
-        out = T.row_blocks(m.value, window, width)
-        n, d = m.value.shape
-        s, lead = out.shape[0], width - window
-
-        def vjp(g):
-            # overlap-add: each block's last `window` rows are its own source
-            # rows, its first `lead` rows the previous block's last ones
-            gm = np.zeros((n, d), dtype=g.dtype)
-            gm[: s * window] = g[:, lead:].reshape(s * window, d)
-            prev = gm[: (s - 1) * window].reshape(s - 1, window, d)
-            prev[:, window - lead :] += g[1:, :lead]
-            return (gm,)
-
-        return self._record("row_blocks", (m,), out, vjp)
-
-    def rows(self, m: Node, start: int, stop: int) -> Node:
-        out = T.rows(m.value, start, stop)
-        src_shape = m.value.shape
-
-        def vjp(g):
-            gm = np.zeros(src_shape, dtype=g.dtype)
-            gm[start:stop] = g
-            return (gm,)
-
-        return self._record("rows", (m,), out, vjp)
-
-    def concat_axis0(self, blocks: Sequence[Node]) -> Node:
-        out = T.concat_axis0([b.value for b in blocks])
-        ends = list(accumulate(b.value.shape[0] for b in blocks))
-
-        def vjp(g):
-            return [g[start:stop] for start, stop in zip([0] + ends, ends)]
-
-        return self._record("concat_axis0", tuple(blocks), out, vjp)
-
-    def concat_lastdim(self, parts: Sequence[Node]) -> Node:
-        out = T.concat_lastdim([p.value for p in parts])
-        ends = list(accumulate(p.value.shape[-1] for p in parts))
-
-        def vjp(g):
-            return [g[..., start:stop] for start, stop in zip([0] + ends, ends)]
-
-        return self._record("concat_lastdim", tuple(parts), out, vjp)
-
-    def reshape(self, a: Node, shape) -> Node:
-        out = T.reshape(a.value, shape)
-        orig = a.value.shape
-
-        def vjp(g):
-            return (g.reshape(orig),)
-
-        return self._record("reshape", (a,), out, vjp)
 
     def mse(self, pred: Node, target: Tensor) -> Node:
         if pred.value.shape != target.shape:
@@ -187,11 +164,7 @@ class Graph:
             )
         diff = pred.value.data - target.data
         out = Tensor._wrap(np.asarray(np.mean(diff * diff)))
-
-        def vjp(g):
-            return (g * 2.0 * diff / diff.size,)
-
-        return self._record("mse", (pred,), out, vjp)
+        return self._record("mse", (pred,), out, _mse_vjp, (pred.value.data,), (diff,))
 
     def value(self, node: Node) -> Tensor:
         return node.value
@@ -216,9 +189,10 @@ class Graph:
         loss.grad = np.ones_like(loss.value.data)
         owned = set()
         for node in reversed(self.nodes[: loss.id + 1]):
-            if node.grad is None or node._vjp is None:
+            if node.grad is None or node.rule is None:
                 continue
-            for input_id, g in zip(node.inputs, node._vjp(node.grad)):
+            vjps = node.rule(node.grad, node.value.data, node.arrays, *node.static)
+            for input_id, g in zip(node.inputs, vjps):
                 src = self.nodes[input_id]
                 if src.op == "constant":
                     continue
@@ -234,6 +208,31 @@ class Graph:
             for n in self.nodes
             if n.op == "parameter"
         }
+
+
+def _recorder(name: str, arity: int | str, rule: Callable) -> Callable[..., Node]:
+    """The Graph method of table op ``name``: its eager forward, then one tape record.
+
+    The forward is looked up as ``tensor.<name>`` at every call, so a
+    wrapper installed on the module attribute sees each taped op too.
+    """
+
+    def record(self: Graph, *args) -> Node:
+        if arity is SEQUENCE:
+            nodes, static = tuple(args[0]), args[1:]
+            out = getattr(T, name)([n.value for n in nodes], *static)
+        else:
+            nodes, static = args[:arity], args[arity:]
+            out = getattr(T, name)(*[n.value for n in nodes], *static)
+        return self._record(name, nodes, out, rule, tuple([n.value.data for n in nodes]), static)
+
+    record.__name__, record.__qualname__ = name, f"Graph.{name}"
+    record.__doc__ = f"``tensor.{name}`` on the nodes' values, recorded with its VJP."
+    return record
+
+
+for _name, (_arity, _rule) in VJPS.items():
+    setattr(Graph, _name, _recorder(_name, _arity, _rule))
 
 
 def finite_diff_grad(f: Callable[[Tensor], float], x: Tensor) -> Tensor:

@@ -10,15 +10,15 @@ matrix product runs through :func:`matmul_batched`, which counts dot
 products into a module-level counter.
 
 This module is also the eager ``ops`` backend: code written against the
-op vocabulary (``constant``, ``matmul_batched``, ``masked_softmax``,
-``row_blocks``, ``rows``, ``concat_axis0``, ``concat_lastdim``,
-``affine``, ``add``, ``transpose_last2``, ``reshape``, ``value``) takes
-the module itself as ``ops`` to run plainly, or a
-:class:`localattn.autodiff.Graph` to run on the tape.
+op vocabulary (the :data:`localattn.autodiff.VJPS` ops, ``constant`` and
+``value``) takes the module itself as ``ops`` to run plainly, or a
+:class:`localattn.autodiff.Graph`, which records each op it calls here,
+to run on the tape.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -156,7 +156,7 @@ def _softmax_lastdim_inplace(arr: np.ndarray) -> np.ndarray:
     Row-max subtraction keeps exp in range; -inf inputs map to exact zeros.
     """
     rowmax = arr.max(axis=-1, keepdims=True)
-    if np.isneginf(rowmax).any():
+    if (rowmax == -np.inf).any():
         raise DegenerateRowError("softmax row with no finite entry cannot be normalized")
     arr -= rowmax
     np.exp(arr, out=arr)
@@ -195,7 +195,7 @@ def masked_softmax(scores: Tensor, mask: Tensor | None, c: float) -> Tensor:
     later one, so a band most blocks share is stored once. ``c`` must be
     positive and finite (a negative factor would turn -inf into +inf).
     """
-    if not (np.isfinite(c) and c > 0):
+    if not (math.isfinite(c) and c > 0):
         raise ValueError(f"softmax scale must be positive and finite, got {c}")
     if mask is None:
         out = scores.data * c
@@ -288,7 +288,9 @@ def _leaky(arr: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor, alpha: float | None = None) -> Tensor:
-    """``act(x @ w + b)`` with act = identity or leaky-ReLU of slope alpha."""
+    """``act(x @ w + b)``, act = identity (alpha None) or leaky-ReLU of finite slope alpha > 0."""
+    if alpha is not None and not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"leaky slope must be None or finite and > 0, got {alpha}")
     if x.ndim != 2 or w.ndim != 2 or b.ndim != 1:
         raise DimensionError(
             f"affine expects x rank 2, w rank 2, b rank 1; got {x.shape}, {w.shape}, {b.shape}"

@@ -16,7 +16,7 @@ import numpy as np
 
 from .attention import _multi_head, _resolve_inner, band_mask, full_attention
 from .attention import masked_full_attention_oracle, permute_rows
-from .autodiff import Graph, finite_diff_grad
+from .autodiff import VJPS, Graph, finite_diff_grad
 from .data import mse
 from .lam import LamCounters, _lam_attention, score_counts
 from .model import ForecastModel, ModelConfig
@@ -270,7 +270,11 @@ def _rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
 
 
 def _op_cases(rng):
-    """(name, x, build_loss) triples; build_loss maps a graph node to a scalar."""
+    """Op name -> its (label, x, build) cases; build maps a graph and the node of x to a node.
+
+    Every :data:`~localattn.autodiff.VJPS` op has an entry (``suite_gradients``
+    fails otherwise); ``attention`` chains several of them.
+    """
     a3 = Tensor._wrap(rng.normal(size=(2, 3, 4)))
     b3 = Tensor._wrap(rng.normal(size=(2, 4, 2)))
     m23 = Tensor._wrap(rng.normal(size=(2, 3)))
@@ -291,79 +295,67 @@ def _op_cases(rng):
     values = Tensor._wrap(rng.normal(size=(5, 2)))
     queries = Tensor._wrap(rng.normal(size=(4, 3)))
 
-    def loss(g, node):
-        return g.mse(node, Tensor.zeros(g.value(node).shape))
-
     def attend(g, q):  # softmax(q k^T / sqrt(d)) v, gradients through q
         scores = g.matmul_batched(q, g.transpose_last2(g.constant(keys)))
         weights = g.masked_softmax(scores, None, 1.0 / math.sqrt(3.0))
-        return loss(g, g.matmul_batched(weights, g.constant(values)))
+        return g.matmul_batched(weights, g.constant(values))
 
-    return [
-        ("matmul-left", a3, lambda g, x: loss(g, g.matmul_batched(x, g.constant(b3)))),
-        ("matmul-right", b3, lambda g, x: loss(g, g.matmul_batched(g.constant(a3), x))),
-        ("matmul-left-2d", m23, lambda g, x: loss(g, g.matmul_batched(x, g.constant(m34)))),
-        ("matmul-right-2d", m34, lambda g, x: loss(g, g.matmul_batched(g.constant(m23), x))),
-        ("masked-softmax", sm_in, lambda g, x: loss(g, g.masked_softmax(x, mask, 0.7))),
-        (
-            "masked-softmax-2-blocks",
-            sm_blocks,
-            lambda g, x: loss(g, g.masked_softmax(x, block_mask, 0.7)),
-        ),
-        (
-            "masked-softmax-1-block",
-            sm_blocks,
-            lambda g, x: loss(g, g.masked_softmax(x, Tensor._wrap(block_mask.data[1:]), 0.7)),
-        ),
-        ("masked-softmax-unmasked", sm_in, lambda g, x: loss(g, g.masked_softmax(x, None, 1.7))),
-        (
-            "affine-x",
-            m34,
-            lambda g, x: loss(g, g.affine(x, g.constant(w), g.constant(bias), 0.01)),
-        ),
-        (
-            "affine-w",
-            w,
-            lambda g, x: loss(g, g.affine(g.constant(m34), x, g.constant(bias), 0.01)),
-        ),
-        (
-            "affine-b",
-            bias,
-            lambda g, x: loss(g, g.affine(g.constant(m34), g.constant(w), x, 0.01)),
-        ),
-        ("add", m23, lambda g, x: loss(g, g.add(x, g.constant(m23)))),
-        ("transpose", m34, lambda g, x: loss(g, g.transpose_last2(x))),
-        ("rows", rows_src, lambda g, x: loss(g, g.rows(x, 1, 3))),
-        ("row-blocks", block_src, lambda g, x: loss(g, g.row_blocks(x, 3, 3))),
-        ("row-blocks-slab", block_src, lambda g, x: loss(g, g.row_blocks(x, 3, 5))),
-        (
-            "concat-rows",
-            cat_a,
-            lambda g, x: loss(g, g.concat_axis0([x, g.constant(cat_b)])),
-        ),
-        (
-            "concat-features",
-            cat_a,
-            lambda g, x: loss(g, g.concat_lastdim([x, g.constant(m23)])),
-        ),
-        ("reshape", m34, lambda g, x: loss(g, g.reshape(x, (2, 2, 3)))),
-        ("attention-chain", queries, attend),
-    ]
+    return {
+        "matmul_batched": [
+            ("matmul-left", a3, lambda g, x: g.matmul_batched(x, g.constant(b3))),
+            ("matmul-right", b3, lambda g, x: g.matmul_batched(g.constant(a3), x)),
+            ("matmul-left-2d", m23, lambda g, x: g.matmul_batched(x, g.constant(m34))),
+            ("matmul-right-2d", m34, lambda g, x: g.matmul_batched(g.constant(m23), x)),
+        ],
+        "masked_softmax": [
+            ("masked-softmax", sm_in, lambda g, x: g.masked_softmax(x, mask, 0.7)),
+            (
+                "masked-softmax-2-blocks",
+                sm_blocks,
+                lambda g, x: g.masked_softmax(x, block_mask, 0.7),
+            ),
+            (
+                "masked-softmax-1-block",
+                sm_blocks,
+                lambda g, x: g.masked_softmax(x, Tensor._wrap(block_mask.data[1:]), 0.7),
+            ),
+            ("masked-softmax-unmasked", sm_in, lambda g, x: g.masked_softmax(x, None, 1.7)),
+        ],
+        "affine": [
+            ("affine-x", m34, lambda g, x: g.affine(x, g.constant(w), g.constant(bias), 0.01)),
+            ("affine-w", w, lambda g, x: g.affine(g.constant(m34), x, g.constant(bias), 0.01)),
+            ("affine-b", bias, lambda g, x: g.affine(g.constant(m34), g.constant(w), x, 0.01)),
+        ],
+        "add": [("add", m23, lambda g, x: g.add(x, g.constant(m23)))],
+        "transpose_last2": [("transpose", m34, lambda g, x: g.transpose_last2(x))],
+        "rows": [("rows", rows_src, lambda g, x: g.rows(x, 1, 3))],
+        "row_blocks": [
+            ("row-blocks", block_src, lambda g, x: g.row_blocks(x, 3, 3)),
+            ("row-blocks-slab", block_src, lambda g, x: g.row_blocks(x, 3, 5)),
+        ],
+        "concat_axis0": [
+            ("concat-rows", cat_a, lambda g, x: g.concat_axis0([x, g.constant(cat_b)])),
+        ],
+        "concat_lastdim": [
+            ("concat-features", cat_a, lambda g, x: g.concat_lastdim([x, g.constant(m23)])),
+        ],
+        "reshape": [("reshape", m34, lambda g, x: g.reshape(x, (2, 2, 3)))],
+        "attention": [("attention-chain", queries, attend)],
+    }
 
 
-def _check_op(x: Tensor, build_loss) -> float:
+def _check_op(x: Tensor, build) -> float:
+    """Relative error of the tape gradient of mse(build(x), 0) against central differences."""
+
+    def loss(g: Graph, t: Tensor):
+        node = g.parameter(t)
+        out = build(g, node)
+        return node, g.mse(out, Tensor.zeros(out.shape))
+
     g = Graph()
-    node = g.parameter(x)
-    loss = build_loss(g, node)
-    grads = g.backward(loss)
-    analytic = grads[node.id].data
-
-    def f(t: Tensor) -> float:
-        g2 = Graph()
-        n2 = g2.parameter(t)
-        return build_loss(g2, n2).value.item()
-
-    numeric = finite_diff_grad(f, x).data
+    node, taped = loss(g, x)
+    analytic = g.backward(taped)[node.id].data
+    numeric = finite_diff_grad(lambda t: loss(Graph(), t)[1].value.item(), x).data
     return _rel_err(analytic, numeric)
 
 
@@ -445,13 +437,17 @@ def suite_gradients(trials: int = 20, seed: int = 0) -> SuiteResult:
     """Analytic gradients vs central finite differences, per op and full model."""
     name = "gradients"
     _check_count("trials", trials)
+    untested = [op for op in VJPS if op not in _op_cases(np.random.default_rng(seed))]
+    if untested:
+        return SuiteResult(name, False, f"no gradient case for op {', '.join(untested)}")
     worst_op = ("", 0.0)
     for trial in range(trials):
         rng = np.random.default_rng(seed + 1000 * trial)
-        for op_name, x, build_loss in _op_cases(rng):
-            err = _check_op(x, build_loss)
-            if err > worst_op[1]:
-                worst_op = (op_name, err)
+        for cases in _op_cases(rng).values():
+            for label, x, build in cases:
+                err = _check_op(x, build)
+                if err > worst_op[1]:
+                    worst_op = (label, err)
 
     worst_model = ("", 0.0)
     for trial in range(trials):

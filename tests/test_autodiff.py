@@ -11,33 +11,21 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from localattn import tensor, verify
-from localattn.autodiff import Graph, GraphContractError, finite_diff_grad
+from localattn.autodiff import SEQUENCE, VJPS, Graph, GraphContractError, finite_diff_grad
 from localattn.tensor import Tensor
 
 NEG_INF = float("-inf")
-
-# the ``ops`` vocabulary the kernels and the model are written against
-OPS_INTERFACE = (
-    "constant",
-    "matmul_batched",
-    "masked_softmax",
-    "row_blocks",
-    "rows",
-    "concat_axis0",
-    "concat_lastdim",
-    "affine",
-    "add",
-    "transpose_last2",
-    "reshape",
-    "value",
-)
 
 
 def assert_op_gradients(*names, trials=20):
     """``verify._check_op`` passes its gate on the named op cases in every seeded trial."""
     for trial in range(trials):
         rng = np.random.default_rng(trial)
-        cases = {name: (x, build) for name, x, build in verify._op_cases(rng)}
+        cases = {
+            label: (x, build)
+            for op_cases in verify._op_cases(rng).values()
+            for label, x, build in op_cases
+        }
         for name in names:
             err = verify._check_op(*cases[name])
             assert err <= verify._TOL_GRAD, f"{name} trial {trial}: rel err {err:.3e}"
@@ -119,20 +107,40 @@ class TestBackwardExamples:
         # y = 2x, loss = 4x^2, dloss/dx = 8x = 16
         assert_allclose(grads[x.id].data, [16.0], atol=0)
 
-    @pytest.mark.parametrize("name", OPS_INTERFACE)
+    @pytest.mark.parametrize("name", [*VJPS, "constant", "value"])
     def test_both_backends_offer_the_op(self, name):
         assert callable(getattr(tensor, name, None))
         assert callable(getattr(Graph(), name, None))
 
+    def test_graph_records_exactly_the_table_ops(self):
+        leaves_and_loss = {"parameter", "constant", "value", "mse", "backward"}
+        public = {name for name in vars(Graph) if not name.startswith("_")}
+        assert public - leaves_and_loss == set(VJPS)
+
+    def test_gradient_suite_fails_for_an_op_without_cases(self, monkeypatch):
+        monkeypatch.setitem(VJPS, "uncovered_op", VJPS["reshape"])
+        result = verify.suite_gradients(trials=1)
+        assert not result.passed and "uncovered_op" in result.detail
+
     def test_forward_values_match_eager(self):
-        rng = np.random.default_rng(42)
-        x = Tensor(rng.standard_normal((3, 4)))
-        w = Tensor(rng.standard_normal((4, 2)))
-        b = Tensor(rng.standard_normal(2))
-        g = Graph()
-        node = g.affine(g.parameter(x), g.parameter(w), g.parameter(b), alpha=0.01)
-        eager = tensor.affine(x, w, b, alpha=0.01)
-        assert_array_equal(g.value(node).data, eager.data)
+        """Every taped op in every gradient case holds bitwise the eager op's output."""
+        seen = set()
+        for cases in verify._op_cases(np.random.default_rng(42)).values():
+            for label, x, build in cases:
+                g = Graph()
+                build(g, g.parameter(x))
+                for node in g.nodes:
+                    if node.op not in VJPS:
+                        continue
+                    seen.add(node.op)
+                    args = [g.nodes[i].value for i in node.inputs]
+                    if VJPS[node.op][0] is SEQUENCE:
+                        args = [args]
+                    eager = getattr(tensor, node.op)(*args, *node.static).data
+                    got = node.value.data
+                    assert got.shape == eager.shape, label
+                    assert got.tobytes() == eager.tobytes(), f"{label}: {node.op}"
+        assert seen == set(VJPS)
 
 
 class TestPerOpGradients:
@@ -198,9 +206,10 @@ def reference_backward(graph, loss):
     """Every node's gradient with each first contribution copied: the ownership-free rule."""
     grads = {loss.id: np.ones_like(loss.value.data)}
     for node in reversed(graph.nodes[: loss.id + 1]):
-        if node.id not in grads or node._vjp is None:
+        if node.id not in grads or node.rule is None:
             continue
-        for input_id, g in zip(node.inputs, node._vjp(grads[node.id])):
+        vjps = node.rule(grads[node.id], node.value.data, node.arrays, *node.static)
+        for input_id, g in zip(node.inputs, vjps):
             if graph.nodes[input_id].op == "constant":
                 continue
             if input_id in grads:
@@ -211,20 +220,20 @@ def reference_backward(graph, loss):
 
 
 def watch_vjps(graph):
-    """Wrap every VJP to keep (array, copy) of its incoming and outgoing gradients."""
+    """Wrap every VJP rule to keep (array, copy) of its incoming and outgoing gradients."""
     seen = []
 
-    def wrap(vjp):
-        def watched(g):
-            outs = vjp(g)
+    def wrap(rule):
+        def watched(g, *saved):
+            outs = rule(g, *saved)
             seen.extend((a, np.array(a)) for a in (g, *outs))
             return outs
 
         return watched
 
     for node in graph.nodes:
-        if node._vjp is not None:
-            node._vjp = wrap(node._vjp)
+        if node.rule is not None:
+            node.rule = wrap(node.rule)
     return seen
 
 

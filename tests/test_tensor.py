@@ -357,6 +357,11 @@ class TestAffine:
         with pytest.raises(DimensionError):
             affine(Tensor([[1.0]]), Tensor([[1.0]]), Tensor([0.0, 0.0]))
 
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), float("-inf"), 0.0, -0.01])
+    def test_rejects_slope_not_finite_and_positive(self, alpha):
+        with pytest.raises(ValueError, match="leaky slope"):
+            affine(Tensor([[1.0, -1.0]]), Tensor(np.eye(2)), Tensor([0.0, 0.0]), alpha)
+
     def test_counted_through_chokepoint(self):
         before = op_counter().dot_products
         affine(Tensor(np.ones((4, 3))), Tensor(np.ones((3, 2))), Tensor(np.zeros(2)))

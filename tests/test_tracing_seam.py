@@ -57,3 +57,23 @@ def test_traced_model_workload_gives_a_strict_json_result(tracing, name):
     assert metrics["attention.block_ms.enc0"] > 0
     if name == "train_toy":
         assert metrics["autodiff.tape_nodes_per_window"] > 0
+
+
+def test_every_taped_tensor_op_reaches_the_traced_forward(tracing):
+    """The tape calls each op's forward through its ``tensor`` attribute.
+
+    So the tracer's wrappers count one op per tape node of a traced name.
+    """
+    import localattn.model as model
+
+    net = model.ForecastModel(model.ModelConfig(d_features=3, n=96, m=24, kind="lam"))
+    rng = np.random.default_rng(0)
+    x, y = Tensor(rng.standard_normal((96, 3))), Tensor(rng.standard_normal((24, 3)))
+    with tracing.Tracer(["enc0"]) as tracer:
+        g = model.Graph()  # the tracer's subclass opens the window, backward closes it
+        out, _ = net.forward_graph(g, x)
+        g.backward(g.mse(out, y))
+    (kind, _, acc), = tracer.windows
+    traced_nodes = sum(node.op in tracing.TENSOR_OPS for node in g.nodes)
+    assert kind == "train" and traced_nodes > 0
+    assert acc["tensor.ops"] == traced_nodes
