@@ -138,8 +138,8 @@ def _estimated_bytes(mechanism: str, n: int, window: int, d: int) -> int:
     operands = 4 * n * d * 8
     if mechanism == "full":
         return n * n * 8 + operands
-    peak = score_counts(n, window)[1]  # plus the key and value slabs' rows
-    return peak * 8 + 2 * (peak // window) * d * 8 + operands
+    peak = score_counts(n, window)[1]  # the scores and the weights, plus the key and value slabs
+    return 2 * peak * 8 + 2 * (peak // window) * d * 8 + operands
 
 
 def _run_mechanism(mechanism: str, q, k, v, window: int):
@@ -439,8 +439,14 @@ def cmd_forecast(args) -> int:
             f"{args.input} has {raw.length} usable rows, need at least {cfg.n}"
         )
     window = scaler.transform(raw.values[-cfg.n :])
-    pred = model.forward(Tensor._wrap(window))
-    out_values = scaler.inverse(pred.data)
+    # a finite cell far outside the training range can overflow the forward
+    with np.errstate(over="ignore", invalid="ignore"):
+        out_values = scaler.inverse(model.forward(Tensor._wrap(window)).data)
+    if not np.isfinite(out_values).all():
+        raise ValueError(
+            f"{args.input}: the forecast is not finite; the last {cfg.n} rows lie "
+            f"too far outside the training range"
+        )
     with _open_out(args.out) as handle:
         writer = csv.writer(handle)
         writer.writerow(names)

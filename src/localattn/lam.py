@@ -25,8 +25,13 @@ direct masked slab: a ``rows`` slice of the queries against the last
 window-1+remainder keys. Both masks are pure functions of a few
 integers, so each is built once per key in a bounded memo and shared
 read-only: the block mask keyed on (min(s, 2), window, pad_guard), the
-slab's on (rem, window). :func:`score_counts` is the closed form of the
-work this layout does, the one copy every count check compares against.
+slab's on (rem, window). Both are :class:`~localattn.tensor.BandMask`
+instances: every query row sees at most ``window`` consecutive slab
+columns, and -inf fills the rest, so on a large call ``masked_softmax``
+normalizes only those band columns, in cache-sized chunks of blocks,
+bitwise equal to the dense softmax. :func:`score_counts` is the closed
+form of the work this layout does, the one copy every count check
+compares against.
 
 The blocks and the slab both attend through
 :func:`localattn.attention._full_attention`, which also keeps the
@@ -44,7 +49,7 @@ import numpy as np
 
 from .attention import _check_qkv, _check_window, _full_attention
 from . import tensor
-from .tensor import Tensor
+from .tensor import BandMask, Tensor
 
 __all__ = [
     "LamCounters",
@@ -91,8 +96,8 @@ def score_counts(n: int, window: int) -> tuple[int, int]:
     return blocked + rem * (rem + window - 1), blocked
 
 
-def local_mask(s: int, window: int, pad_guard: bool = True) -> Tensor:
-    """Additive block mask: zero inside the band, -inf outside.
+def local_mask(s: int, window: int, pad_guard: bool = True) -> BandMask:
+    """Additive block band mask: zero inside the band, -inf outside.
 
     Score block r's mask entry [i1, j1] is zero iff i1 <= j1 <= i1+window-1
     (the band in slab coordinates) and, for block 0, j1 >= window-1 so the
@@ -110,17 +115,17 @@ def local_mask(s: int, window: int, pad_guard: bool = True) -> Tensor:
 
 
 @functools.lru_cache(maxsize=8)
-def _block_mask(blocks: int, window: int, pad_guard: bool) -> Tensor:
+def _block_mask(blocks: int, window: int, pad_guard: bool) -> BandMask:
     width = 2 * window - 1
     i1 = np.arange(window)[:, np.newaxis]
     j1 = np.arange(width)[np.newaxis, :]
     band = (i1 <= j1) & (j1 <= i1 + window - 1)
     kept = [band & (j1 >= window - 1), band][:blocks] if pad_guard else [band]
-    return _read_only(np.where(np.stack(kept), 0.0, -np.inf))
+    return BandMask.of(np.where(np.stack(kept), 0.0, -np.inf))
 
 
 @functools.lru_cache(maxsize=8)
-def _remainder_mask(rem: int, window: int) -> Tensor:
+def _remainder_mask(rem: int, window: int) -> BandMask:
     """Band mask for the trailing rows against their key slab, built once per key.
 
     Slab column c maps to source row s*window - window + 1 + c; row t
@@ -129,12 +134,7 @@ def _remainder_mask(rem: int, window: int) -> Tensor:
     t = np.arange(rem)[:, np.newaxis]
     c = np.arange(rem + window - 1)[np.newaxis, :]
     keep = (t <= c) & (c <= t + window - 1)
-    return _read_only(np.where(keep, 0.0, -np.inf))
-
-
-def _read_only(arr: np.ndarray) -> Tensor:
-    arr.flags.writeable = False
-    return Tensor._wrap(arr)
+    return BandMask.of(np.where(keep, 0.0, -np.inf))
 
 
 def _lam_attention(ops, q, k, v, window: int, counters: LamCounters | None = None,

@@ -7,7 +7,10 @@ pre-softmax scores; NaN is never legal and is rejected at construction.
 
 All public operations are pure: inputs are never mutated. Every batched
 matrix product runs through :func:`matmul_batched`, which counts dot
-products into a module-level counter.
+products into a module-level counter. :func:`masked_softmax` fuses mask,
+scale and softmax; under a :class:`BandMask` (-inf outside each row's
+diagonal band) it normalizes a large score tensor on the band only, in
+cache-sized chunks, with weights bitwise equal to its dense path.
 
 This module is also the eager ``ops`` backend: code written against the
 op vocabulary (the :data:`localattn.autodiff.VJPS` ops, ``constant`` and
@@ -26,6 +29,7 @@ import numpy as np
 
 __all__ = [
     "Tensor",
+    "BandMask",
     "DimensionError",
     "DegenerateRowError",
     "OpCounter",
@@ -116,6 +120,32 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name})"
 
 
+class BandMask(Tensor):
+    """An additive mask that is -inf everywhere outside each row's diagonal band.
+
+    Over its last two axes, R rows by C >= R columns, row i keeps at most
+    columns i .. i+C-R: every entry outside them is -inf. Under such a
+    mask :func:`masked_softmax` can normalize the band alone. Build one
+    with :meth:`of`, which checks the band once.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, data) -> "BandMask":
+        """``data`` (rank 2 or 3, made read-only) checked to be a band mask."""
+        arr = Tensor(data, allow_neg_inf=True).data
+        if arr.ndim not in (2, 3) or arr.shape[-1] < arr.shape[-2]:
+            raise DimensionError(f"a band mask needs rank 2 or 3 and at least as many "
+                                 f"columns as rows, got shape {arr.shape}")
+        r, c = arr.shape[-2:]
+        lag = np.arange(c) - np.arange(r)[:, np.newaxis]
+        if (arr[..., (lag < 0) | (lag > c - r)] != -np.inf).any():
+            raise ValueError("band mask has a finite entry outside its band")
+        arr.flags.writeable = False
+        return cls._wrap(arr)
+
+
 @dataclass
 class OpCounter:
     """Running total of vector dot products performed by matmul_batched."""
@@ -150,15 +180,20 @@ def matmul_batched(a: Tensor, b: Tensor) -> Tensor:
     return Tensor._wrap(out)
 
 
+def _row_max(arr: np.ndarray) -> np.ndarray:
+    """Max over the last axis, keeping it; a row with no finite entry cannot be normalized."""
+    rowmax = arr.max(axis=-1, keepdims=True)
+    if (rowmax == -np.inf).any():
+        raise DegenerateRowError("softmax row with no finite entry cannot be normalized")
+    return rowmax
+
+
 def _softmax_lastdim_inplace(arr: np.ndarray) -> np.ndarray:
     """Softmax over the last axis, overwriting ``arr`` (caller must own it).
 
     Row-max subtraction keeps exp in range; -inf inputs map to exact zeros.
     """
-    rowmax = arr.max(axis=-1, keepdims=True)
-    if (rowmax == -np.inf).any():
-        raise DegenerateRowError("softmax row with no finite entry cannot be normalized")
-    arr -= rowmax
+    arr -= _row_max(arr)
     np.exp(arr, out=arr)
     arr /= arr.sum(axis=-1, keepdims=True)
     return arr
@@ -173,17 +208,64 @@ def softmax_lastdim(t: Tensor) -> Tensor:
     return Tensor._wrap(_softmax_lastdim_inplace(np.array(t.data)))
 
 
-def _plus_mask(arr: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """arr + m in a new array; a short rank-3 mask repeats its last block."""
+def _short_mask(arr: np.ndarray, m: np.ndarray) -> bool:
+    """Whether ``m`` holds b <= s blocks of rank-3 scores of s blocks; else it must have their shape."""
     if arr.ndim == 3 and m.ndim == 3 and m.shape[1:] == arr.shape[1:] and 1 <= len(m) <= len(arr):
-        out = np.empty_like(arr)
-        b = len(m) - 1
-        np.add(arr[:b], m[:b], out=out[:b])
-        np.add(arr[b:], m[b], out=out[b:])
-        return out
+        return True
     if m.shape != arr.shape:
         raise DimensionError(f"mask shape {m.shape} does not fit scores {arr.shape}")
-    return arr + m
+    return False
+
+
+def _add_mask(arr: np.ndarray, m: np.ndarray, out: np.ndarray, start: int = 0) -> np.ndarray:
+    """out = arr + m, arr holding leading indices start.. of the scores; index r takes mask block min(r, b-1)."""
+    last = len(m) - 1
+    own = min(max(last, start), start + len(arr)) - start  # the first ``own`` take their own block
+    np.add(arr[:own], m[start : start + own], out=out[:own])
+    np.add(arr[own:], m[last], out=out[own:])
+    return out
+
+
+def _plus_mask(arr: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """arr + m in a new array; a short rank-3 mask repeats its last block."""
+    return _add_mask(arr, m, np.empty_like(arr)) if _short_mask(arr, m) else arr + m
+
+
+# masked_softmax normalizes only the band of scores larger than this many
+# elements (256 KB) under a BandMask, one chunk of about this size at a time
+_BAND_CHUNK = 2**15
+
+
+def _band(arr: np.ndarray, width: int) -> np.ndarray:
+    """Zero-copy view of each row's band: row i of the last two axes, columns i .. i+width-1."""
+    *lead, rows, _ = arr.shape
+    *steps, row, col = arr.strides
+    return np.lib.stride_tricks.as_strided(arr, (*lead, rows, width), (*steps, row + col, col))
+
+
+def _band_softmax(scores: np.ndarray, mask: np.ndarray, c: float) -> np.ndarray:
+    """:func:`masked_softmax` under a band mask, on the band only, a chunk of leading indices at a time.
+
+    Outside the band the output keeps its zeros. Dividing the chunk's full
+    rows by their full-row sums repeats the dense path's reduction, so the
+    weights are bitwise the dense path's for scores without NaN or +inf.
+    """
+    _short_mask(scores, mask)  # the dense path's shape rule; _add_mask takes either kind
+    width = scores.shape[-1] - scores.shape[-2] + 1
+    out = np.zeros(scores.shape)
+    sb, mb, ob = _band(scores, width), _band(mask, width), _band(out, width)
+    s = len(scores)
+    step = max(1, _BAND_CHUNK // (scores.size // s))
+    tmp = np.empty((min(step, s), *sb.shape[1:]))
+    for g0 in range(0, s, step):
+        g1 = min(g0 + step, s)
+        t = _add_mask(sb[g0:g1], mb, tmp[: g1 - g0], g0)
+        t *= c
+        t -= _row_max(t)
+        np.exp(t, out=ob[g0:g1])
+        rows = out[g0:g1]
+        rows /= rows.sum(axis=-1, keepdims=True)
+    return out
 
 
 def masked_softmax(scores: Tensor, mask: Tensor | None, c: float) -> Tensor:
@@ -194,11 +276,17 @@ def masked_softmax(scores: Tensor, mask: Tensor | None, c: float) -> Tensor:
     block r applies to score block r and the last mask block to every
     later one, so a band most blocks share is stored once. ``c`` must be
     positive and finite (a negative factor would turn -inf into +inf).
+
+    Under a :class:`BandMask`, scores of more than ``_BAND_CHUNK`` elements
+    are normalized on the band only, one cache-sized chunk at a time; the
+    weights are bitwise those of the dense path, which smaller scores take.
     """
     if not (math.isfinite(c) and c > 0):
         raise ValueError(f"softmax scale must be positive and finite, got {c}")
     if mask is None:
         out = scores.data * c
+    elif isinstance(mask, BandMask) and scores.data.size > _BAND_CHUNK:
+        return Tensor._wrap(_band_softmax(scores.data, mask.data, c))
     else:
         out = _plus_mask(scores.data, mask.data)
         out *= c

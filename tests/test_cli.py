@@ -5,6 +5,7 @@ import inspect
 import json
 import math
 import re
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -15,6 +16,7 @@ import localattn.cli as cli
 from localattn.attention import band_mask, full_attention
 from localattn.cli import BENCH_HEADER, main, parse_config, resolve_band
 from localattn.data import Scaler, load_csv, synth_series
+from localattn.lam import default_window, lam_forward
 from localattn.model import ForecastModel, ModelConfig, save_checkpoint, train
 from localattn.tensor import DegenerateRowError, Tensor
 
@@ -102,6 +104,20 @@ class TestBenchCommand:
         assert len(empty) == 1
         assert len(empty[0].split(",")) == 8  # schema kept, cells empty
         assert "skipped full at n=512" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("n", [4096, 20000])
+    def test_lam_estimate_covers_the_traced_peak(self, n):
+        """The guard's lam estimate is at least what one forward allocates, operands included."""
+        d, window = 8, default_window(n)
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            q, k, v = (Tensor._wrap(rng.normal(size=(n, d))) for _ in range(3))
+            lam_forward(q, k, v, window)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cli._estimated_bytes("lam", n, window, d) >= peak
 
     @pytest.mark.parametrize(
         "argv",
@@ -477,8 +493,8 @@ class TestMainPlumbing:
     @pytest.mark.parametrize("case", [
         "data-is-a-directory", "input-is-a-directory", "non-utf8-csv", "oversized-csv-field",
         "blank-first-csv-row", "lr=nan", "lr=0", "epochs=-1", "batch=0", "h=0",
-        "bandmass-heads=0", "forecast-header", "no-validation-windows", "out-bandmass",
-        "out-bench", "out-forecast", "out-train-file", "out-train-too-long",
+        "bandmass-heads=0", "forecast-header", "forecast-non-finite", "no-validation-windows",
+        "out-bandmass", "out-bench", "out-forecast", "out-train-file", "out-train-too-long",
         *FLAG_CASES,
     ])
     def test_bad_input_exits_2_with_one_error_line(self, tmp_path, capsys, monkeypatch, case):
@@ -517,6 +533,12 @@ class TestMainPlumbing:
             raw = synth_series("sines", 20, d=2, seed=2)
             data = write_csv(tmp_path / "swapped.csv", raw.values, ["f1", "f0"])
             argv = ["forecast", "--checkpoint", ckpt, "--input", data, "--out", str(out)]
+        elif case == "forecast-non-finite":  # a finite cell so large the forward overflows
+            ckpt, _, _ = forecast_fixture(tmp_path)
+            values = synth_series("sines", 20, d=2, seed=2).values.copy()
+            values[-3, 0] = 1e200
+            culprit = write_csv(tmp_path / "huge.csv", values, ["f0", "f1"])
+            argv = ["forecast", "--checkpoint", ckpt, "--input", culprit, "--out", str(out)]
         elif case in self.FLAG_CASES:
             culprit, argv = self.FLAG_CASES[case], case.split()
             if argv[0] == "bench":

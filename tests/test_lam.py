@@ -11,8 +11,10 @@ from localattn.autodiff import Graph
 import localattn.lam as lam
 from localattn.lam import LamCounters, _lam_attention, default_window, lam_forward, local_mask
 from localattn.lam import score_counts
+import localattn.tensor as tensor
 from localattn.tensor import DimensionError, Tensor, row_blocks
-from localattn.verify import suite_counting
+from localattn.verify import run_all, suite_counting, suite_gradients, suite_masking
+from localattn.verify import suite_oracle_equivalence
 
 NEG_INF = float("-inf")
 
@@ -372,6 +374,37 @@ class TestKernel:
             want = masked_full_attention_oracle(q, k, v, window)
             worst = max(worst, float(np.max(np.abs(got.data - want.data))))
         assert worst <= 1e-10
+
+
+class TestBandPath:
+    """The kernel through masked_softmax's band path keeps the verify guarantees."""
+
+    def test_forced_band_path_passes_verify(self, monkeypatch):
+        monkeypatch.setattr(tensor, "_BAND_CHUNK", 3)  # every lam score tensor is larger
+        for suite in (suite_oracle_equivalence(40), suite_masking(25), suite_gradients(2)):
+            assert suite.passed, suite.detail
+        faulty = run_all(trials=12, inject_fault=True)
+        assert [r.name for r in faulty if not r.passed] == ["oracle-equivalence"]
+
+    def test_long_call_takes_the_band_path_bitwise(self, monkeypatch):
+        n, window = 3005, 12  # 250 blocks: several chunks, then five trailing rows
+        assert score_counts(n, window)[1] > tensor._BAND_CHUNK
+        calls = []
+        band_softmax = tensor._band_softmax
+        monkeypatch.setattr(tensor, "_band_softmax", lambda *a: calls.append(a) or band_softmax(*a))
+        q, k, v = random_qkv(np.random.default_rng(30), n, 4, 3)
+        counters = LamCounters()
+        out = lam_forward(q, k, v, window, counters=counters).data
+        assert len(calls) == 1
+        assert (counters.dot_products, counters.peak_score_elements) == score_counts(n, window)
+
+        monkeypatch.setattr(tensor, "_BAND_CHUNK", n * n)  # every call dense
+        assert lam_forward(q, k, v, window).data.tobytes() == out.tobytes()
+        for lo in range(0, n, 500):  # every row, so every chunk boundary
+            hi, start = min(lo + 500, n), max(0, lo - window + 1)
+            part = [Tensor._wrap(t.data[start:hi]) for t in (q, k, v)]
+            want = masked_full_attention_oracle(*part, window).data[lo - start :]
+            assert np.max(np.abs(out[lo:hi] - want)) <= 1e-10
 
 
 class TestScoreCounts:

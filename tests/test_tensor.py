@@ -1,12 +1,18 @@
 """Tensor container and kernel tests: frozen examples plus properties."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+import localattn.tensor as tensor_mod
+import localattn.lam as lam
+from localattn.lam import local_mask
 from localattn.tensor import (
+    BandMask,
     DegenerateRowError,
     DimensionError,
     Tensor,
@@ -240,6 +246,77 @@ class TestMaskedSoftmax:
         with pytest.raises(error) as info:
             masked_softmax(scores, mask, c)
         assert type(info.value) is error
+
+
+class TestBandMask:
+    """Under a BandMask, masked_softmax's band path equals the dense path bitwise."""
+
+    @staticmethod
+    def with_holes(rng, mask, s):
+        """``mask`` as s own blocks, about 40% of its band -inf; each row keeps its last band slot."""
+        arr = np.array(mask.data[np.minimum(np.arange(s), len(mask.data) - 1)])
+        arr[rng.random(arr.shape) < 0.4] = NEG_INF
+        r, c = arr.shape[-2:]
+        arr[..., np.arange(r), np.arange(r) + c - r] = 0.0
+        return BandMask.of(arr)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_band_path_equals_dense_path_bitwise(self, data):
+        kind = data.draw(st.sampled_from(["blocks", "blocks-with-holes", "remainder"]), label="kind")
+        window = data.draw(st.integers(1, 12), label="window")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        if kind == "remainder":  # rank 2: the chunks are runs of rows
+            mask = lam._remainder_mask(data.draw(st.integers(1, 12), label="rem"), window)
+            shape = mask.shape
+        else:  # rank 3: the chunks are runs of blocks
+            s = data.draw(st.integers(1, 20), label="s")
+            mask = local_mask(s, window, data.draw(st.booleans(), label="pad_guard"))
+            if kind == "blocks-with-holes":
+                mask = self.with_holes(rng, mask, s)
+            shape = (s, window, 2 * window - 1)
+        c = data.draw(st.floats(1e-3, 10.0), label="c")
+        scores = Tensor._wrap(3.0 * rng.standard_normal(shape))
+        dense = masked_softmax(scores, Tensor._wrap(mask.data), c)
+        with pytest.MonkeyPatch.context() as patch:  # below the size: the band path, in chunks
+            patch.setattr(tensor_mod, "_BAND_CHUNK", data.draw(st.integers(0, scores.size - 1)))
+            band = masked_softmax(scores, mask, c)
+        assert band.data.tobytes() == dense.data.tobytes()
+
+    def test_band_path_holds_the_output_and_one_chunk(self):
+        mask = local_mask(2000, 8)
+        scores = Tensor._wrap(np.random.default_rng(0).standard_normal((2000, 8, 15)))
+        tracemalloc.start()
+        try:
+            out = masked_softmax(scores, mask, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one chunk's temporaries and numpy's ufunc buffers, not a second score buffer
+        assert 0 < peak - out.data.nbytes <= 2 * tensor_mod._BAND_CHUNK * 8 < out.data.nbytes
+
+    @pytest.mark.parametrize("chunk", [0, 2**62])  # the band path, the dense path
+    def test_fully_masked_band_row_raises_on_both_paths(self, monkeypatch, chunk):
+        arr = np.array(local_mask(3, 4).data)
+        arr[1, 2] = NEG_INF  # block 1 and every later one: row 2 keeps nothing
+        monkeypatch.setattr(tensor_mod, "_BAND_CHUNK", chunk)
+        with pytest.raises(DegenerateRowError):
+            masked_softmax(Tensor(np.ones((3, 4, 7))), BandMask.of(arr), 1.0)
+
+    def test_of_rejects_a_finite_entry_outside_the_band(self):
+        arr = np.array(local_mask(3, 4).data)
+        arr[1, 0, 4] = 0.0  # row 0 keeps columns 0 .. 3 only
+        with pytest.raises(ValueError, match="outside its band"):
+            BandMask.of(arr)
+
+    @pytest.mark.parametrize("shape", [(4,), (3, 2), (2, 5, 4), (1, 1, 2, 2)])
+    def test_of_rejects_a_shape_without_a_band(self, shape):
+        with pytest.raises(DimensionError):
+            BandMask.of(np.zeros(shape))
+
+    def test_of_makes_the_mask_read_only(self):
+        mask = BandMask.of(np.where(np.eye(3, 4) == 1, 0.0, NEG_INF))
+        assert isinstance(mask, Tensor) and not mask.data.flags.writeable
 
 
 class TestGatherRowsPadded:
