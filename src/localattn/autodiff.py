@@ -3,12 +3,12 @@
 A :class:`Graph` exposes the same operation vocabulary as the eager
 backend, the :mod:`localattn.tensor` module itself, so any kernel written
 against that interface can be recorded and differentiated without a
-second implementation. Each differentiable op is one row of :data:`VJPS`,
-and one recorder makes every row a ``Graph`` method that runs the eager
-``tensor`` function of that name. Forward values are computed immediately
-(define-by-run); the tape's insertion order is a topological order by
-construction, and backward walks it in reverse accumulating
-vector-Jacobian products.
+second implementation. Each differentiable op, the ``mse`` loss too, is
+one row of :data:`VJPS`; one recorder makes every row a ``Graph`` method
+that runs the eager ``tensor`` function of that name and stores its
+output and static arguments. Backward walks the tape (topological by
+construction) in reverse, reading each input from its node and each
+VJP rule from the table, accumulating vector-Jacobian products.
 
 Masked softmax entries (-inf inputs) are structural zeros: their output is
 exactly 0 and no gradient flows through them, which is the limit of the
@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .tensor import DimensionError, Tensor
+from .tensor import Tensor
 from . import tensor as T
 
 __all__ = ["Node", "Graph", "GraphContractError", "VJPS", "SEQUENCE", "finite_diff_grad"]
@@ -36,23 +36,16 @@ class GraphContractError(ValueError):
 
 
 class Node:
-    """One record on the tape: op kind, input node ids, forward value and what its VJP reads.
+    """One tape record: op kind, input node ids, forward value, static args; VJP ``VJPS[op]``."""
 
-    ``rule`` is the op's :data:`VJPS` rule (None for leaves); ``arrays`` and
-    ``static`` are the input arrays and static arguments it is called with.
-    """
+    __slots__ = ("id", "op", "inputs", "value", "grad", "static")
 
-    __slots__ = ("id", "op", "inputs", "value", "grad", "rule", "arrays", "static")
-
-    def __init__(self, id: int, op: str, inputs: tuple[int, ...], value: Tensor,
-                 rule=None, arrays: tuple = (), static: tuple = ()):
+    def __init__(self, id: int, op: str, inputs: tuple[int, ...], value: Tensor, static=()):
         self.id = id
         self.op = op
         self.inputs = inputs
         self.value = value
         self.grad: np.ndarray | None = None
-        self.rule = rule
-        self.arrays = arrays
         self.static = static
 
     @property
@@ -109,7 +102,8 @@ def _split_vjp(axis: int):
     return vjp
 
 
-def _mse_vjp(g, out, arrays, diff):
+def _mse_vjp(g, out, arrays, target):
+    diff = arrays[0] - target.data
     return (g * 2.0 * diff / diff.size,)
 
 
@@ -130,20 +124,21 @@ VJPS = {
     "concat_axis0": (SEQUENCE, _split_vjp(0)),
     "concat_lastdim": (SEQUENCE, _split_vjp(-1)),
     "reshape": (1, lambda g, out, arrays, shape: (g.reshape(arrays[0].shape),)),
+    "mse": (1, _mse_vjp),
 }
 
 
 class Graph:
     """Append-only tape of operations; insertion order is topological.
 
-    Every :data:`VJPS` op is a method too, with ``tensor``'s arguments and nodes for tensors.
+    Every :data:`VJPS` op is a method too: ``tensor``'s arguments, nodes for the node inputs.
     """
 
     def __init__(self):
         self.nodes: list[Node] = []
 
-    def _record(self, op: str, inputs, value: Tensor, rule=None, arrays=(), static=()) -> Node:
-        node = Node(len(self.nodes), op, tuple([n.id for n in inputs]), value, rule, arrays, static)
+    def _record(self, op: str, inputs, value: Tensor, static=()) -> Node:
+        node = Node(len(self.nodes), op, tuple([n.id for n in inputs]), value, static)
         self.nodes.append(node)
         return node
 
@@ -154,17 +149,6 @@ class Graph:
 
     def constant(self, t: Tensor) -> Node:
         return self._record("constant", (), t)
-
-    # -- operations ------------------------------------------------------
-
-    def mse(self, pred: Node, target: Tensor) -> Node:
-        if pred.value.shape != target.shape:
-            raise DimensionError(
-                f"mse shapes disagree: {pred.value.shape} vs {target.shape}"
-            )
-        diff = pred.value.data - target.data
-        out = Tensor._wrap(np.asarray(np.mean(diff * diff)))
-        return self._record("mse", (pred,), out, _mse_vjp, (pred.value.data,), (diff,))
 
     def value(self, node: Node) -> Tensor:
         return node.value
@@ -188,12 +172,14 @@ class Graph:
             node.grad = None
         loss.grad = np.ones_like(loss.value.data)
         owned = set()
-        for node in reversed(self.nodes[: loss.id + 1]):
-            if node.grad is None or node.rule is None:
+        nodes = self.nodes
+        for node in reversed(nodes[: loss.id + 1]):
+            if node.grad is None or node.op not in VJPS:
                 continue
-            vjps = node.rule(node.grad, node.value.data, node.arrays, *node.static)
+            arrays = [nodes[i].value.data for i in node.inputs]
+            vjps = VJPS[node.op][1](node.grad, node.value.data, arrays, *node.static)
             for input_id, g in zip(node.inputs, vjps):
-                src = self.nodes[input_id]
+                src = nodes[input_id]
                 if src.op == "constant":
                     continue
                 if src.grad is None:
@@ -210,7 +196,7 @@ class Graph:
         }
 
 
-def _recorder(name: str, arity: int | str, rule: Callable) -> Callable[..., Node]:
+def _recorder(name: str, arity: int | str) -> Callable[..., Node]:
     """The Graph method of table op ``name``: its eager forward, then one tape record.
 
     The forward is looked up as ``tensor.<name>`` at every call, so a
@@ -224,15 +210,15 @@ def _recorder(name: str, arity: int | str, rule: Callable) -> Callable[..., Node
         else:
             nodes, static = args[:arity], args[arity:]
             out = getattr(T, name)(*[n.value for n in nodes], *static)
-        return self._record(name, nodes, out, rule, tuple([n.value.data for n in nodes]), static)
+        return self._record(name, nodes, out, static)
 
     record.__name__, record.__qualname__ = name, f"Graph.{name}"
-    record.__doc__ = f"``tensor.{name}`` on the nodes' values, recorded with its VJP."
+    record.__doc__ = f"``tensor.{name}`` on the nodes' values, recorded for its VJP."
     return record
 
 
-for _name, (_arity, _rule) in VJPS.items():
-    setattr(Graph, _name, _recorder(_name, _arity, _rule))
+for _name, (_arity, _) in VJPS.items():
+    setattr(Graph, _name, _recorder(_name, _arity))
 
 
 def finite_diff_grad(f: Callable[[Tensor], float], x: Tensor) -> Tensor:

@@ -230,8 +230,8 @@ def cmd_bench(args) -> int:
         raise ValueError(f"--n-list must be strictly ascending, got {n_list}")
     mechanisms = [m.strip() for m in args.mechanisms.split(",") if m.strip()]
     bad = [m for m in mechanisms if m not in ("full", "lam")]
-    if bad or not mechanisms:
-        raise ValueError(f"--mechanisms must name full and/or lam, got {args.mechanisms!r}")
+    if bad or not mechanisms or len(set(mechanisms)) < len(mechanisms):
+        raise ValueError(f"--mechanisms must name full and/or lam once each, got {args.mechanisms!r}")
     if args.repeats < 5:
         raise ValueError(f"--repeats must be >= 5 for a stable median, got {args.repeats}")
     if args.d_model < 1:
@@ -438,14 +438,20 @@ def cmd_forecast(args) -> int:
         raise ValueError(
             f"{args.input} has {raw.length} usable rows, need at least {cfg.n}"
         )
-    window = scaler.transform(raw.values[-cfg.n :])
-    # a finite cell far outside the training range can overflow the forward
     with np.errstate(over="ignore", invalid="ignore"):
+        window = scaler.transform(raw.values[-cfg.n :])
+        # the population std puts every fit-region value within sqrt(rows - 1)
+        # deviations of the mean, so |z| > 1e6 needs a fit on over 1e12 rows
+        far = np.argwhere(np.abs(window) > 1e6)
+        if len(far):
+            raise ValueError(f"{args.input}: column {names[far[0, 1]]} lies more than 1e6 "
+                             f"standard deviations from its training mean")
+        # a checkpoint's own weights can still overflow the forward
         out_values = scaler.inverse(model.forward(Tensor._wrap(window)).data)
     if not np.isfinite(out_values).all():
         raise ValueError(
-            f"{args.input}: the forecast is not finite; the last {cfg.n} rows lie "
-            f"too far outside the training range"
+            f"{args.input}: the forecast is not finite; the checkpoint's forward "
+            f"overflows on the last {cfg.n} rows"
         )
     with _open_out(args.out) as handle:
         writer = csv.writer(handle)

@@ -2,9 +2,9 @@
 
 The pipeline is: raw series (synthetic or CSV) -> chronological split ->
 per-feature standardization fit on the training region only -> sliding
-(input, target) windows that never cross a split boundary. Metrics are
-computed in standardized space, so reported numbers are comparable
-across features and datasets.
+(input, target) windows that never cross a split boundary. Metrics (the
+MSE is the tape's loss, :func:`localattn.tensor.mse`) are computed in
+standardized space, comparable across features and datasets.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tensor
 from .tensor import DimensionError, Tensor
 
 __all__ = [
@@ -25,7 +26,6 @@ __all__ = [
     "load_csv",
     "slice_windows",
     "standardize_split_window",
-    "mse",
     "mae",
     "mean_errors",
     "repeat_last_baseline",
@@ -291,14 +291,6 @@ def standardize_split_window(
     )
 
 
-def mse(pred: Tensor, target: Tensor) -> float:
-    """Mean squared error over all entries."""
-    if pred.shape != target.shape:
-        raise DimensionError(f"shapes disagree: {pred.shape} vs {target.shape}")
-    diff = pred.data - target.data
-    return float(np.mean(diff * diff))
-
-
 def mae(pred: Tensor, target: Tensor) -> float:
     """Mean absolute error over all entries."""
     if pred.shape != target.shape:
@@ -311,7 +303,7 @@ def mean_errors(pairs) -> tuple[float, float]:
     se = ae = 0.0
     count = 0
     for pred, target in pairs:
-        se += mse(pred, target)
+        se += tensor.mse(pred, target).item()
         ae += mae(pred, target)
         count += 1
     if not count:

@@ -48,6 +48,7 @@ __all__ = [
     "scale",
     "transpose_last2",
     "reshape",
+    "mse",
     "constant",
     "value",
 ]
@@ -423,6 +424,14 @@ def reshape(t: Tensor, shape: Iterable[int]) -> Tensor:
     if len(shape) > 3:
         raise DimensionError(f"rank {len(shape)} > 3 not supported")
     return Tensor._wrap(t.data.reshape(shape))
+
+
+def mse(pred: Tensor, target: Tensor) -> Tensor:
+    """Mean squared error over all entries, rank 0: the tape's loss and the eager metric."""
+    if pred.shape != target.shape:
+        raise DimensionError(f"mse shapes disagree: {pred.shape} vs {target.shape}")
+    diff = pred.data - target.data
+    return Tensor._wrap(np.asarray(np.mean(diff * diff)))
 
 
 def constant(t: Tensor) -> Tensor:

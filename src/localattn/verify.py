@@ -17,7 +17,6 @@ import numpy as np
 from .attention import _multi_head, _resolve_inner, band_mask, full_attention
 from .attention import masked_full_attention_oracle, permute_rows
 from .autodiff import VJPS, Graph, finite_diff_grad
-from .data import mse
 from .lam import LamCounters, _lam_attention, score_counts
 from .model import ForecastModel, ModelConfig
 from . import tensor
@@ -294,6 +293,7 @@ def _op_cases(rng):
     keys = Tensor._wrap(rng.normal(size=(5, 3)))
     values = Tensor._wrap(rng.normal(size=(5, 2)))
     queries = Tensor._wrap(rng.normal(size=(4, 3)))
+    target = Tensor._wrap(rng.normal(size=(3, 4)))
 
     def attend(g, q):  # softmax(q k^T / sqrt(d)) v, gradients through q
         scores = g.matmul_batched(q, g.transpose_last2(g.constant(keys)))
@@ -340,6 +340,7 @@ def _op_cases(rng):
             ("concat-features", cat_a, lambda g, x: g.concat_lastdim([x, g.constant(m23)])),
         ],
         "reshape": [("reshape", m34, lambda g, x: g.reshape(x, (2, 2, 3)))],
+        "mse": [("mse", m34, lambda g, x: g.mse(x, target))],
         "attention": [("attention-chain", queries, attend)],
     }
 
@@ -424,7 +425,7 @@ def _check_model(kind: str, seed: int) -> float:
         def f(t: Tensor, _name=name) -> float:
             model.params[_name] = t
             try:
-                return mse(model.forward(x), y)
+                return tensor.mse(model.forward(x), y).item()
             finally:
                 model.params[_name] = baseline[_name]
 

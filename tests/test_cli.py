@@ -421,6 +421,19 @@ class TestForecastCommand:
                      "--out", str(tmp_path / "fc.csv")]) == 2
         assert "scaler" in capsys.readouterr().err
 
+    def test_input_far_inside_the_bound_still_forecasts(self, tmp_path, capsys):
+        """A cell 50 deviations out (identity scaler) is far from the data, not bad input."""
+        ckpt, _, model = forecast_fixture(tmp_path)
+        values = synth_series("sines", 20, d=2, seed=2).values.copy()
+        values[-3, 0] = 50.0
+        data = write_csv(tmp_path / "far.csv", values, ["f0", "f1"])
+        out = tmp_path / "fc.csv"
+        assert main(["forecast", "--checkpoint", ckpt, "--input", data,
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        expected = model.forward(Tensor._wrap(values[-8:])).data
+        assert np.array_equal(load_csv(str(out)).values, expected)
+
     def test_converged_model_forecasts_constant(self, tmp_path):
         # a model trained to emit one constant keeps emitting it
         from localattn.model import train
@@ -488,12 +501,14 @@ class TestMainPlumbing:
         "bench --l-rule ceil4": "'ceil4'",
         "verify --trials 0": "trials must be >= 1",
         "verify --trials -5": "trials must be >= 1",
+        "bench --mechanisms lam,lam": "once each, got 'lam,lam'",
     }
 
     @pytest.mark.parametrize("case", [
         "data-is-a-directory", "input-is-a-directory", "non-utf8-csv", "oversized-csv-field",
         "blank-first-csv-row", "lr=nan", "lr=0", "epochs=-1", "batch=0", "h=0",
-        "bandmass-heads=0", "forecast-header", "forecast-non-finite", "no-validation-windows",
+        "bandmass-heads=0", "forecast-header", "forecast-non-finite", "forecast-far-cell",
+        "forecast-overflowing-checkpoint", "no-validation-windows",
         "out-bandmass", "out-bench", "out-forecast", "out-train-file", "out-train-too-long",
         *FLAG_CASES,
     ])
@@ -539,6 +554,24 @@ class TestMainPlumbing:
             values[-3, 0] = 1e200
             culprit = write_csv(tmp_path / "huge.csv", values, ["f0", "f1"])
             argv = ["forecast", "--checkpoint", ckpt, "--input", culprit, "--out", str(out)]
+        elif case == "forecast-far-cell":  # far outside any training range, finite forward or not
+            ckpt, _, _ = forecast_fixture(tmp_path)
+            values = synth_series("sines", 20, d=2, seed=2).values.copy()
+            values[-3, 1] = 1e150
+            data = write_csv(tmp_path / "far.csv", values, ["f0", "f1"])
+            culprit = f"{data}: column f1 lies more than"
+            argv = ["forecast", "--checkpoint", ckpt, "--input", data, "--out", str(out)]
+        elif case == "forecast-overflowing-checkpoint":  # ordinary input, finite huge weights
+            ckpt, data, _ = forecast_fixture(tmp_path)
+            culprit = f"{data}: the forecast is not finite"
+            with np.load(ckpt, allow_pickle=False) as payload:
+                arrays = {key: payload[key].copy() for key in payload.files}
+            # every unembedded entry near 1e6 and every time weight the float64
+            # maximum: each product of the last matmul overflows
+            arrays["unembed.b"] = np.full_like(arrays["unembed.b"], 1e6)
+            arrays["time.w"] = np.full_like(arrays["time.w"], np.finfo(np.float64).max)
+            np.savez(ckpt, **arrays)
+            argv = ["forecast", "--checkpoint", ckpt, "--input", data, "--out", str(out)]
         elif case in self.FLAG_CASES:
             culprit, argv = self.FLAG_CASES[case], case.split()
             if argv[0] == "bench":

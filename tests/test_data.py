@@ -11,13 +11,13 @@ from localattn.data import (
     baseline_metrics,
     load_csv,
     mae,
-    mse,
     repeat_last_baseline,
     slice_windows,
     standardize_split_window,
     synth_series,
     write_manifest,
 )
+from localattn import tensor
 from localattn.tensor import DimensionError, Tensor
 
 SINES_JOINT_PERIOD = 23 * 37 * 53  # pairwise coprime, so the lcm is the product
@@ -292,26 +292,32 @@ class TestStandardizeSplitWindow:
 
 
 class TestMetrics:
+    """``mae`` here, and ``tensor.mse``, the metric and the training loss."""
+
+    def test_mse_is_a_rank_0_tensor(self):
+        out = tensor.mse(Tensor.zeros((3, 2)), Tensor(np.full((3, 2), 2.0)))
+        assert out.shape == () and out.item() == 4.0
+
     def test_identical_inputs_give_zero(self):
         t = Tensor._wrap(np.random.default_rng(0).normal(size=(4, 2)))
-        assert mse(t, t) == 0.0
+        assert tensor.mse(t, t).item() == 0.0
         assert mae(t, t) == 0.0
 
     def test_unit_offset(self):
         a = Tensor.zeros((3, 2))
         b = Tensor(np.full((3, 2), 1.0))
-        assert mse(a, b) == 1.0
+        assert tensor.mse(a, b).item() == 1.0
         assert mae(a, b) == 1.0
 
     def test_hand_example(self):
         pred = Tensor._wrap(np.array([0.0, 2.0]))
         target = Tensor._wrap(np.array([1.0, 0.0]))
-        assert mse(pred, target) == 2.5
+        assert tensor.mse(pred, target).item() == 2.5
         assert mae(pred, target) == 1.5
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionError):
-            mse(Tensor.zeros((2, 2)), Tensor.zeros((2, 3)))
+            tensor.mse(Tensor.zeros((2, 2)), Tensor.zeros((2, 3)))
         with pytest.raises(DimensionError):
             mae(Tensor.zeros((2, 2)), Tensor.zeros((3, 2)))
 
@@ -320,7 +326,7 @@ class TestMetrics:
         for _ in range(20):
             a = Tensor._wrap(rng.normal(size=(3, 3)))
             b = Tensor._wrap(rng.normal(size=(3, 3)))
-            m_sq, m_ab = mse(a, b), mae(a, b)
+            m_sq, m_ab = tensor.mse(a, b).item(), mae(a, b)
             assert m_sq >= 0.0 and m_ab >= 0.0
             assert (m_sq == 0.0) == (m_ab == 0.0)
 
