@@ -119,22 +119,60 @@ def full_attention(
     return out
 
 
+# _full_attention weights rank-3 scores of more than this many elements (2 MB)
+# a chunk of at most this size of leading blocks at a time (one block at least)
+_SCORE_CHUNK = 2**18
+
+
+def _chunk_mask(mask: Tensor | None, g0: int, g1: int) -> Tensor | None:
+    """The mask of score blocks g0 .. g1-1: a b-block mask's blocks min(g0, b-1) .. min(g1, b)-1.
+
+    A slice of a band mask along its leading axis is still one, so it keeps
+    the class without a second check.
+    """
+    if mask is None:
+        return None
+    b = len(mask.data)
+    return type(mask)._wrap(mask.data[min(g0, b - 1) : min(g1, b)])
+
+
 def _full_attention(ops, q, k, v, mask: Tensor | None = None, counters=None):
     """softmax((q kᵀ + mask) / sqrt(d_q)) v on any backend: the one attention core.
 
     Works over the last two axes, so rank-3 operands attend block by block
     (the banded kernel's blocks and its remainder slab both run here);
-    ``mask`` is a ``masked_softmax`` mask. With ``counters`` the score
-    tensor's size is recorded as dot products and as live score elements
-    until the value product is done. Bitwise equal to :func:`full_attention`.
+    ``mask`` is a ``masked_softmax`` mask. All scores come from one
+    ``matmul_batched``; rank-3 scores of more than ``_SCORE_CHUNK``
+    elements are then normalized and multiplied by v on ``rows`` slices of
+    G = max(1, _SCORE_CHUNK // (rows * cols)) blocks at a time, joined by
+    one ``concat_axis0``, so one chunk of weights is alive at once. No
+    chunk needs another's softmax state, so the output is bitwise the
+    one-chunk output, and smaller calls (every rank-2 one) run the
+    one-chunk op sequence. On the tape each chunk's ``rows`` VJP
+    zero-fills a scores-sized gradient; no workload records a call above
+    the budget. With ``counters`` the score tensor's size is recorded as
+    dot products and as live score elements until the value product is
+    done. Bitwise equal to :func:`full_attention`.
     """
     scores = ops.matmul_batched(q, ops.transpose_last2(k))
-    size = ops.value(scores).size
+    shape, size = ops.value(scores).shape, ops.value(scores).size
     if counters is not None:
         counters.dot_products += size
         counters.score_alloc(size)
-    weights = ops.masked_softmax(scores, mask, 1.0 / math.sqrt(ops.value(q).shape[-1]))
-    out = ops.matmul_batched(weights, v)
+    c = 1.0 / math.sqrt(ops.value(q).shape[-1])
+    s, step = shape[0], max(1, _SCORE_CHUNK // (shape[-2] * shape[-1]))
+    if len(shape) == 2 or step >= s:
+        out = ops.matmul_batched(ops.masked_softmax(scores, mask, c), v)
+    else:
+        spans = [(g0, min(g0 + step, s)) for g0 in range(0, s, step)]
+        # one expression per chunk, so a chunk's weights are freed before the next is made
+        out = ops.concat_axis0([
+            ops.matmul_batched(
+                ops.masked_softmax(ops.rows(scores, g0, g1), _chunk_mask(mask, g0, g1), c),
+                ops.rows(v, g0, g1),
+            )
+            for g0, g1 in spans
+        ])
     if counters is not None:
         counters.score_free(size)
     return out

@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .attention import band_mass, full_attention
+from .attention import _SCORE_CHUNK, band_mass, full_attention
 from .data import (
     baseline_metrics,
     load_csv,
@@ -41,7 +41,7 @@ from .model import (
     save_checkpoint,
     train,
 )
-from .tensor import DegenerateRowError, Tensor
+from .tensor import _BAND_CHUNK, DegenerateRowError, Tensor
 from .verify import run_all
 
 __all__ = ["main", "BenchRecord", "bench_records", "parse_config", "BENCH_HEADER"]
@@ -138,8 +138,11 @@ def _estimated_bytes(mechanism: str, n: int, window: int, d: int) -> int:
     operands = 4 * n * d * 8
     if mechanism == "full":
         return n * n * 8 + operands
-    peak = score_counts(n, window)[1]  # the scores and the weights, plus the key and value slabs
-    return 2 * peak * 8 + 2 * (peak // window) * d * 8 + operands
+    # the scores, one chunk of weights (one block at least, the whole scores at most)
+    # and the band softmax's temporaries of that chunk, plus the key and value slabs
+    peak = score_counts(n, window)[1]
+    chunk = min(peak, max(_SCORE_CHUNK, window * (2 * window - 1)))
+    return (peak + chunk + min(chunk, _BAND_CHUNK)) * 8 + 2 * (peak // window) * d * 8 + operands
 
 
 def _run_mechanism(mechanism: str, q, k, v, window: int):

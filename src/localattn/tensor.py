@@ -76,14 +76,15 @@ class Tensor:
         arr = np.asarray(data, dtype=np.float64)
         if arr.ndim > 3:
             raise DimensionError(f"rank {arr.ndim} > 3 not supported (shape {arr.shape})")
-        if np.isnan(arr).any():
-            raise ValueError("NaN entries are not permitted in a Tensor")
-        if np.isposinf(arr).any():
-            raise ValueError("+inf entries are not permitted in a Tensor")
-        if not allow_neg_inf and np.isneginf(arr).any():
-            raise ValueError(
-                "-inf entries are only permitted in mask / pre-softmax score tensors"
-            )
+        if not np.isfinite(arr).all():  # one scan of a clean array; the kinds only on failure
+            if np.isnan(arr).any():
+                raise ValueError("NaN entries are not permitted in a Tensor")
+            if np.isposinf(arr).any():
+                raise ValueError("+inf entries are not permitted in a Tensor")
+            if not allow_neg_inf and np.isneginf(arr).any():
+                raise ValueError(
+                    "-inf entries are only permitted in mask / pre-softmax score tensors"
+                )
         self.data = arr
 
     # Internal constructor for op results whose cleanliness is guaranteed
@@ -337,9 +338,9 @@ def row_blocks(m: Tensor, window: int, width: int) -> Tensor:
 
 
 def rows(m: Tensor, start: int, stop: int) -> Tensor:
-    """Rows start .. stop-1 of a rank-2 tensor, as a view of the source."""
-    if m.ndim != 2:
-        raise DimensionError(f"rows source must be rank 2, got shape {m.shape}")
+    """Leading indices start .. stop-1 of a rank-2 or rank-3 tensor (rows or blocks), as a view."""
+    if m.ndim not in (2, 3):
+        raise DimensionError(f"rows source must be rank 2 or 3, got shape {m.shape}")
     if not 0 <= start <= stop <= m.shape[0]:
         raise ValueError(f"need 0 <= start <= stop <= {m.shape[0]}, "
                          f"got start={start}, stop={stop}")
@@ -347,17 +348,15 @@ def rows(m: Tensor, start: int, stop: int) -> Tensor:
 
 
 def concat_axis0(blocks: Sequence[Tensor]) -> Tensor:
-    """Stack rank-2 blocks along rows, preserving block order."""
+    """Join rank-2 or rank-3 tensors along the leading axis, preserving their order."""
     if not blocks:
         raise DimensionError("need at least one block to concatenate")
-    width = blocks[0].shape[-1]
+    trail = blocks[0].shape[1:]
     for b in blocks:
-        if b.ndim != 2:
-            raise DimensionError(f"blocks must be rank 2, got shape {b.shape}")
-        if b.shape[-1] != width:
-            raise DimensionError(
-                f"trailing extents disagree: {b.shape[-1]} vs {width}"
-            )
+        if b.ndim not in (2, 3):
+            raise DimensionError(f"blocks must be rank 2 or 3, got shape {b.shape}")
+        if b.shape[1:] != trail:
+            raise DimensionError(f"trailing extents disagree: {b.shape[1:]} vs {trail}")
     return Tensor._wrap(np.concatenate([b.data for b in blocks], axis=0))
 
 

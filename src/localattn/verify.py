@@ -294,6 +294,8 @@ def _op_cases(rng):
     values = Tensor._wrap(rng.normal(size=(5, 2)))
     queries = Tensor._wrap(rng.normal(size=(4, 3)))
     target = Tensor._wrap(rng.normal(size=(3, 4)))
+    blocks_src = Tensor._wrap(rng.normal(size=(4, 2, 3)))  # drawn last: the cases above keep theirs
+    blocks_tail = Tensor._wrap(rng.normal(size=(2, 2, 3)))
 
     def attend(g, q):  # softmax(q k^T / sqrt(d)) v, gradients through q
         scores = g.matmul_batched(q, g.transpose_last2(g.constant(keys)))
@@ -328,13 +330,21 @@ def _op_cases(rng):
         ],
         "add": [("add", m23, lambda g, x: g.add(x, g.constant(m23)))],
         "transpose_last2": [("transpose", m34, lambda g, x: g.transpose_last2(x))],
-        "rows": [("rows", rows_src, lambda g, x: g.rows(x, 1, 3))],
+        "rows": [
+            ("rows", rows_src, lambda g, x: g.rows(x, 1, 3)),
+            ("rows-blocks", blocks_src, lambda g, x: g.rows(x, 1, 3)),
+        ],
         "row_blocks": [
             ("row-blocks", block_src, lambda g, x: g.row_blocks(x, 3, 3)),
             ("row-blocks-slab", block_src, lambda g, x: g.row_blocks(x, 3, 5)),
         ],
         "concat_axis0": [
             ("concat-rows", cat_a, lambda g, x: g.concat_axis0([x, g.constant(cat_b)])),
+            (
+                "concat-blocks",
+                blocks_src,
+                lambda g, x: g.concat_axis0([g.constant(blocks_tail), x]),
+            ),
         ],
         "concat_lastdim": [
             ("concat-features", cat_a, lambda g, x: g.concat_lastdim([x, g.constant(m23)])),

@@ -4,20 +4,26 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+import localattn.attention as attention
 from localattn.attention import (
     _multi_head,
     _resolve_inner,
     band_mask,
     band_mass,
     full_attention,
+    _chunk_mask,
     _full_attention,
     masked_full_attention_oracle,
     permute_rows,
 )
 from localattn import tensor
-from localattn.tensor import DimensionError, Tensor
+from localattn.autodiff import Graph
+from localattn.lam import LamCounters, local_mask
+from localattn.tensor import BandMask, DimensionError, Tensor
 
 NEG_INF = float("-inf")
 
@@ -104,6 +110,72 @@ class TestFullAttention:
             fused = full_attention(q, k, v, mask)
             generic = _full_attention(tensor, q, k, v, mask)
             assert_array_equal(fused.data, generic.data)
+
+
+class TestChunkedCore:
+    """Rank-3 scores above the budget attend a chunk of blocks at a time, bitwise as one chunk."""
+
+    @staticmethod
+    def draw_mask(data, rng, s, window):
+        """None, or a BandMask or plain mask of b = 1, 2 or s blocks over (window, 2*window-1) slabs."""
+        kind = data.draw(st.sampled_from(["none", "band", "plain"]), label="mask")
+        if kind == "none":
+            return None
+        b = min(s, data.draw(st.sampled_from([1, 2, s]), label="blocks"))
+        arr = local_mask(2, window).data[np.minimum(np.arange(b), 1)]  # block 0, then the shared band
+        if kind == "band":
+            return BandMask.of(arr)
+        arr = np.where(rng.random(arr.shape) < 0.3, NEG_INF, 0.0)  # holes anywhere in the row
+        arr[..., np.arange(window), rng.integers(0, 2 * window - 1, window)] = 0.0
+        return Tensor(arr, allow_neg_inf=True)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_chunks_are_bitwise_one_chunk_on_both_backends(self, data):
+        s = data.draw(st.integers(1, 12), label="s")
+        window = data.draw(st.integers(1, 6), label="window")
+        d_q, d_v = data.draw(st.integers(1, 4), label="d_q"), data.draw(st.integers(1, 4), label="d_v")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        width = 2 * window - 1
+        q, k, v = (Tensor._wrap(rng.standard_normal(shape))
+                   for shape in ((s, window, d_q), (s, width, d_q), (s, width, d_v)))
+        mask = self.draw_mask(data, rng, s, window)
+        budget = data.draw(st.integers(1, s * window * width), label="budget")
+        chunks = -(-s // max(1, budget // (window * width)))  # 1 .. s
+
+        whole, counted = LamCounters(), LamCounters()
+        want = _full_attention(tensor, q, k, v, mask, whole).data
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(attention, "_SCORE_CHUNK", budget)
+            got = _full_attention(tensor, q, k, v, mask, counted).data
+            g = Graph()
+            node = _full_attention(g, g.parameter(q), g.parameter(k), g.parameter(v), mask)
+        assert got.tobytes() == want.tobytes()
+        assert g.value(node).data.tobytes() == want.tobytes()
+        assert (counted.dot_products, counted.peak_score_elements) == (whole.dot_products,
+                                                                       whole.peak_score_elements)
+        assert sum(n.op == "matmul_batched" for n in g.nodes) == 1 + chunks  # one score product
+        assert sum(n.op == "concat_axis0" for n in g.nodes) == (chunks > 1)
+
+    def test_rank2_scores_are_never_split(self, monkeypatch):
+        monkeypatch.setattr(attention, "_SCORE_CHUNK", 1)
+        rng = np.random.default_rng(3)
+        q, k, v = (Tensor(rng.standard_normal((5, 2))) for _ in range(3))
+        g = Graph()
+        _full_attention(g, g.parameter(q), g.parameter(k), g.parameter(v), band_mask(5, 2))
+        assert [n.op for n in g.nodes if n.op not in ("parameter", "constant")] == [
+            "transpose_last2", "matmul_batched", "masked_softmax", "matmul_batched"]
+
+    def test_chunk_mask_keeps_class_and_takes_the_covering_blocks(self):
+        band = local_mask(5, 3)  # block 0 guarded, block 1 shared by every later block
+        assert _chunk_mask(None, 0, 2) is None
+        for g0, g1, want in [(0, 1, [0]), (0, 3, [0, 1]), (1, 4, [1]), (3, 5, [1])]:
+            part = _chunk_mask(band, g0, g1)
+            assert type(part) is BandMask and not part.data.flags.writeable
+            assert_array_equal(part.data, band.data[want])
+        plain = Tensor(np.zeros((4, 2, 3)))
+        assert type(_chunk_mask(plain, 1, 3)) is Tensor
+        assert_array_equal(_chunk_mask(plain, 1, 3).data, plain.data[1:3])
 
 
 class TestMaskedOracle:

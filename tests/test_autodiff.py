@@ -203,11 +203,11 @@ class TestPerOpGradients:
         assert_op_gradients("transpose")
 
     def test_gather_scatter_add(self):
-        """A ``rows`` slice gathers rows; its VJP scatters g into zeros."""
-        assert_op_gradients("rows")
+        """A ``rows`` slice gathers rows or blocks; its VJP scatters g into zeros."""
+        assert_op_gradients("rows", "rows-blocks")
 
     def test_concat_axis0(self):
-        assert_op_gradients("concat-rows")
+        assert_op_gradients("concat-rows", "concat-blocks")
 
     def test_concat_lastdim(self):
         assert_op_gradients("concat-features")

@@ -1,11 +1,14 @@
 """Blocked banded attention: block layout, mask, kernel, counters."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+import localattn.attention as attention
 from localattn.attention import masked_full_attention_oracle
 from localattn.autodiff import VJPS, Graph
 import localattn.lam as lam
@@ -13,7 +16,8 @@ from localattn.lam import LamCounters, _lam_attention, default_window, lam_forwa
 from localattn.lam import score_counts
 import localattn.tensor as tensor
 from localattn.tensor import DimensionError, Tensor, row_blocks
-from localattn.verify import run_all, suite_counting, suite_gradients, suite_masking
+from localattn.verify import _TOL_GRAD, _check_op, run_all, suite_counting, suite_gradients
+from localattn.verify import suite_masking
 from localattn.verify import suite_oracle_equivalence
 
 NEG_INF = float("-inf")
@@ -405,6 +409,59 @@ class TestBandPath:
             part = [Tensor._wrap(t.data[start:hi]) for t in (q, k, v)]
             want = masked_full_attention_oracle(*part, window).data[lo - start :]
             assert np.max(np.abs(out[lo:hi] - want)) <= 1e-10
+
+
+class TestChunkedKernel:
+    """The kernel with the core's score budget small enough to split a call into chunks of blocks."""
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_chunked_call_matches_oracle_and_counts(self, data):
+        n = data.draw(st.integers(1, 64), label="n")
+        window = data.draw(st.integers(1, n), label="window")
+        d_q, d_v = data.draw(st.integers(1, 6), label="d_q"), data.draw(st.integers(1, 6), label="d_v")
+        q, k, v = random_qkv(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))), n, d_q, d_v)
+        budget = data.draw(st.integers(1, score_counts(n, window)[1]), label="budget")
+        counters = LamCounters()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(attention, "_SCORE_CHUNK", budget)
+            got = lam_forward(q, k, v, window, counters=counters)
+        want = masked_full_attention_oracle(q, k, v, window)
+        assert np.max(np.abs(got.data - want.data)) <= 1e-10
+        assert (counters.dot_products, counters.peak_score_elements) == score_counts(n, window)
+
+    @pytest.mark.parametrize("wrt", [0, 1, 2])  # q, k, v
+    def test_chunked_tape_passes_the_gradient_check(self, monkeypatch, wrt):
+        n, window = 14, 3  # four blocks and two trailing rows
+        monkeypatch.setattr(attention, "_SCORE_CHUNK", 2 * window * (2 * window - 1))
+        qkv = random_qkv(np.random.default_rng(31 + wrt), n, 3, 2)
+
+        def build(g, x):
+            ops = [g.constant(t) for t in qkv]
+            ops[wrt] = x
+            return _lam_attention(g, *ops, window)
+
+        g = Graph()
+        build(g, g.parameter(qkv[wrt]))
+        assert sum(node.op == "masked_softmax" for node in g.nodes) == 3  # two chunks, one slab
+        assert _check_op(qkv[wrt], build) <= _TOL_GRAD
+
+    def test_long_call_never_holds_the_whole_weights(self):
+        n, d = 20000, 8
+        window = default_window(n)
+        assert window == 60
+        q, k, v = random_qkv(np.random.default_rng(32), n, d, d)
+        tracemalloc.start()
+        try:
+            lam_forward(q, k, v, window)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        scores = score_counts(n, window)[1] * 8
+        buffers = 4 * attention._SCORE_CHUNK * 8  # a chunk of weights, its softmax temporaries
+        operands = 5 * n * d * 8  # three zero-padded copies, the chunk outputs and their join
+        # holding the whole weights next to the scores would take about 2 * scores
+        assert peak <= scores + buffers + operands < 2 * scores
 
 
 class TestScoreCounts:

@@ -359,9 +359,16 @@ class TestRows:
         with pytest.raises(ValueError, match="start"):
             rows(self.M, start, stop)
 
-    def test_rank3_source_rejected(self):
-        with pytest.raises(DimensionError):
-            rows(Tensor(np.zeros((1, 2, 3))), 0, 1)
+    def test_rank0_and_rank1_sources_rejected(self):
+        for shape in [(), (3,)]:
+            with pytest.raises(DimensionError):
+                rows(Tensor(np.zeros(shape)), 0, 0)
+
+    def test_rank3_source_slices_blocks(self):
+        m = Tensor(np.arange(24.0).reshape(4, 2, 3))
+        out = rows(m, 1, 3)
+        assert_array_equal(out.data, m.data[1:3])
+        assert np.shares_memory(out.data, m.data)
 
 
 class TestRowBlocks:
@@ -399,6 +406,16 @@ class TestConcat:
     def test_empty_rejected(self):
         with pytest.raises(DimensionError):
             concat_axis0([])
+
+    def test_rank3_blocks_join_along_the_leading_axis(self):
+        m = np.arange(24.0).reshape(4, 2, 3)
+        out = concat_axis0([Tensor(m[:1]), Tensor(m[1:])])
+        assert_array_equal(out.data, m)
+
+    @pytest.mark.parametrize("shapes", [[(1, 2, 3), (1, 3, 3)], [(2, 3), (1, 2, 3)], [(3,), (3,)]])
+    def test_mismatched_or_bad_rank_blocks_rejected(self, shapes):
+        with pytest.raises(DimensionError):
+            concat_axis0([Tensor.zeros(shape) for shape in shapes])
 
     def test_lastdim_concat(self):
         out = concat_lastdim([Tensor([[1.0]]), Tensor([[2.0, 3.0]])])
