@@ -115,10 +115,12 @@ def load_csv(path: str) -> RawSeries:
     error, checked before the timestamp detection, as is a file with no
     numeric columns or no surviving rows. Every error is a
     ``ValueError`` naming the file, including an unreadable path (a
-    directory too), undecodable text and a malformed CSV field.
+    directory too), undecodable text and a malformed CSV field. The text
+    is UTF-8; a leading byte-order mark is dropped, not read into the
+    first header cell.
     """
     try:
-        with open(path, newline="") as handle:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
             rows = list(csv.reader(handle))
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from exc

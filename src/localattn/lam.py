@@ -12,7 +12,8 @@ flat and blocked layouts:
     key column j lands in block r at slot j1 = j - (r-1)*window - 1
 
 Both layouts come from the ``row_blocks`` op: queries are its width-window
-blocks, keys and values its width-(2*window-1) blocks, a strided view over
+blocks, a read-only strided view of the query rows themselves (no copy),
+and keys and values its width-(2*window-1) blocks, a strided view over
 one zero-padded copy in which neighbouring key slabs share window-1 rows
 (the "sliding chunks" layout of Longformer). Block 0's key slab starts
 before the sequence; those rows are zero and block 0's mask shuts them
@@ -29,7 +30,8 @@ slab's on (rem, window). Both are :class:`~localattn.tensor.BandMask`
 instances: every query row sees at most ``window`` consecutive slab
 columns, and -inf fills the rest, so on a large call ``masked_softmax``
 normalizes only those band columns, in cache-sized chunks of blocks,
-bitwise equal to the dense softmax. :func:`score_counts` is the closed
+bitwise equal to the dense softmax. The shared band block is zero on its
+band, so every chunk after block 0 is only scaled, with no mask add. :func:`score_counts` is the closed
 form of the work this layout does, the one copy every count check
 compares against.
 

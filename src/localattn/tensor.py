@@ -10,7 +10,8 @@ matrix product runs through :func:`matmul_batched`, which counts dot
 products into a module-level counter. :func:`masked_softmax` fuses mask,
 scale and softmax; under a :class:`BandMask` (-inf outside each row's
 diagonal band) it normalizes a large score tensor on the band only, in
-cache-sized chunks, with weights bitwise equal to its dense path.
+cache-sized chunks, skipping the add where the mask is zero, with weights
+bitwise equal to its dense path.
 
 This module is also the eager ``ops`` backend: code written against the
 op vocabulary (the :data:`localattn.autodiff.VJPS` ops, ``constant`` and
@@ -248,25 +249,38 @@ def _band(arr: np.ndarray, width: int) -> np.ndarray:
 def _band_softmax(scores: np.ndarray, mask: np.ndarray, c: float) -> np.ndarray:
     """:func:`masked_softmax` under a band mask, on the band only, a chunk of leading indices at a time.
 
-    Outside the band the output keeps its zeros. Dividing the chunk's full
-    rows by their full-row sums repeats the dense path's reduction, so the
-    weights are bitwise the dense path's for scores without NaN or +inf.
+    Each chunk's band is masked, scaled, shifted and exponentiated in a
+    contiguous temporary and copied into the output's band; outside it the
+    output keeps its zeros. The chunk's full rows are summed, which repeats
+    the dense path's reduction, and only the band is divided by those sums
+    (0/x is +0.0), so the weights are bitwise the dense path's for scores
+    without NaN or +inf. When a rank-3 mask's last block is zero on its
+    band, chunks that take only that block are scaled without the add:
+    x + 0.0 differs from x only in the sign of a zero, which the row-max
+    subtraction and exp map to the same weight.
     """
     _short_mask(scores, mask)  # the dense path's shape rule; _add_mask takes either kind
     width = scores.shape[-1] - scores.shape[-2] + 1
     out = np.zeros(scores.shape)
     sb, mb, ob = _band(scores, width), _band(mask, width), _band(out, width)
-    s = len(scores)
+    s, last = len(scores), len(mask) - 1
+    # chunks from here on take only the last mask block; if it is zero on its band, skip the add
+    scale_from = last if mask.ndim == 3 and not mb[last].any() else s
     step = max(1, _BAND_CHUNK // (scores.size // s))
     tmp = np.empty((min(step, s), *sb.shape[1:]))
     for g0 in range(0, s, step):
         g1 = min(g0 + step, s)
-        t = _add_mask(sb[g0:g1], mb, tmp[: g1 - g0], g0)
-        t *= c
+        t = tmp[: g1 - g0]
+        if g0 >= scale_from:
+            np.multiply(sb[g0:g1], c, out=t)
+        else:
+            _add_mask(sb[g0:g1], mb, t, g0)
+            t *= c
         t -= _row_max(t)
-        np.exp(t, out=ob[g0:g1])
-        rows = out[g0:g1]
-        rows /= rows.sum(axis=-1, keepdims=True)
+        np.exp(t, out=t)  # faster here than into the strided band
+        band = ob[g0:g1]
+        band[...] = t
+        np.divide(t, out[g0:g1].sum(axis=-1, keepdims=True), out=band)
     return out
 
 
@@ -280,8 +294,10 @@ def masked_softmax(scores: Tensor, mask: Tensor | None, c: float) -> Tensor:
     positive and finite (a negative factor would turn -inf into +inf).
 
     Under a :class:`BandMask`, scores of more than ``_BAND_CHUNK`` elements
-    are normalized on the band only, one cache-sized chunk at a time; the
-    weights are bitwise those of the dense path, which smaller scores take.
+    are masked, scaled, exponentiated and divided on the band only, one
+    cache-sized chunk at a time, and blocks that take a shared mask block
+    that is zero on its band are only scaled; the weights are bitwise
+    those of the dense path, which smaller scores take.
     """
     if not (math.isfinite(c) and c > 0):
         raise ValueError(f"softmax scale must be positive and finite, got {c}")
@@ -319,8 +335,11 @@ def row_blocks(m: Tensor, window: int, width: int) -> Tensor:
 
     Block r < s = n // window holds rows r*window-(width-window) ..
     r*window+window-1: zeros for rows before the start, and rows past
-    s*window are never reached. The result is a read-only strided view of
-    one zero-padded copy, so neighbouring blocks share their overlap.
+    s*window are never reached. At width == window there are no rows
+    before the start, and the result is a read-only strided view of m's
+    own rows (m itself stays as writeable as it was); at width > window it
+    is a read-only strided view of one zero-padded copy, so neighbouring
+    blocks share their overlap.
     """
     if m.ndim != 2:
         raise DimensionError(f"row_blocks source must be rank 2, got shape {m.shape}")
@@ -329,10 +348,13 @@ def row_blocks(m: Tensor, window: int, width: int) -> Tensor:
         raise ValueError(f"need 1 <= window <= {n} and window <= width < 2*window, "
                          f"got window={window}, width={width}")
     s, lead = n // window, width - window
-    padded = np.zeros((lead + s * window, d))
-    padded[lead:] = m.data[: s * window]
-    row, col = padded.strides
-    blocks = np.ndarray((s, width, d), padded.dtype, padded, 0, (window * row, row, col))
+    if lead == 0:  # splitting the row axis in two is a view in any layout
+        blocks = m.data[: s * window].reshape(s, window, d)
+    else:
+        padded = np.zeros((lead + s * window, d))
+        padded[lead:] = m.data[: s * window]
+        row, col = padded.strides
+        blocks = np.ndarray((s, width, d), padded.dtype, padded, 0, (window * row, row, col))
     blocks.flags.writeable = False
     return Tensor._wrap(blocks)
 

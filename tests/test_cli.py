@@ -248,6 +248,18 @@ class TestTrainCommand:
         _, _, names = load_checkpoint(str(out / "checkpoint.npz"))
         assert names == ["x", "y"]
 
+    def test_checkpoint_from_a_bom_file_forecasts_the_same_header_without_one(self, tmp_path):
+        raw = synth_series("sines", 400, d=2, seed=1)
+        plain = write_csv(tmp_path / "plain.csv", raw.values, ["x", "y"])
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + Path(plain).read_bytes())
+        argv, out = tiny_train_args(tmp_path)
+        argv[argv.index("--samples"):argv.index("--stride")] = ["--data", str(bom)]
+        assert main(argv) == 0
+        assert main(["forecast", "--checkpoint", str(out / "checkpoint.npz"),
+                     "--input", plain, "--out", str(tmp_path / "fc.csv")]) == 0
+        assert load_csv(str(tmp_path / "fc.csv")).feature_names == ("x", "y")
+
     def test_unknown_config_key_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("stride=4\n")

@@ -158,6 +158,19 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="no numeric columns"):
             load_csv(path)
 
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfa,b\n1,2\n3,4\n")
+        raw = load_csv(str(path))
+        assert raw.feature_names == ("a", "b")
+        assert np.array_equal(raw.values, [[1, 2], [3, 4]])
+
+    def test_undecodable_text_is_a_value_error(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"\xef\xbb\xbfa,b\n\xe9,1.0\n")
+        with pytest.raises(ValueError, match="not readable CSV text"):
+            load_csv(str(path))
+
     def test_all_rows_dropped_rejected(self, tmp_path):
         # first column numeric so it is kept as a feature, second always bad
         path = self.write(tmp_path, "a,b\n1,x\n2,y\n")

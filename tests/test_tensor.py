@@ -32,6 +32,7 @@ from localattn.tensor import (
     softmax_lastdim,
     transpose_last2,
 )
+from test_lam import row_blocks_loop
 
 NEG_INF = float("-inf")
 
@@ -260,10 +261,27 @@ class TestBandMask:
         arr[..., np.arange(r), np.arange(r) + c - r] = 0.0
         return BandMask.of(arr)
 
+    @staticmethod
+    def with_offsets(rng, mask):
+        """``mask`` with a finite non-zero entry in every block's band, the shared last block included."""
+        arr = np.array(mask.data)
+        kept = np.isfinite(arr)
+        arr[kept] = rng.standard_normal(kept.sum())
+        return BandMask.of(arr)
+
+    @staticmethod
+    def signed_zeros_and_ties(rng, shape):
+        """Scores in {-1, ±0.0, 1}: many ties at the row maximum, zeros of both signs."""
+        arr = rng.integers(-1, 2, shape).astype(float)
+        arr[arr == 0] *= rng.choice([1.0, -1.0], (arr == 0).sum())
+        return arr
+
+    KINDS = ["blocks", "blocks-with-holes", "blocks-with-offsets", "remainder"]
+
     @given(st.data())
     @settings(max_examples=150, deadline=None)
     def test_band_path_equals_dense_path_bitwise(self, data):
-        kind = data.draw(st.sampled_from(["blocks", "blocks-with-holes", "remainder"]), label="kind")
+        kind = data.draw(st.sampled_from(self.KINDS), label="kind")
         window = data.draw(st.integers(1, 12), label="window")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         if kind == "remainder":  # rank 2: the chunks are runs of rows
@@ -274,13 +292,47 @@ class TestBandMask:
             mask = local_mask(s, window, data.draw(st.booleans(), label="pad_guard"))
             if kind == "blocks-with-holes":
                 mask = self.with_holes(rng, mask, s)
+            elif kind == "blocks-with-offsets":
+                mask = self.with_offsets(rng, mask)
             shape = (s, window, 2 * window - 1)
         c = data.draw(st.floats(1e-3, 10.0), label="c")
-        scores = Tensor._wrap(3.0 * rng.standard_normal(shape))
+        if data.draw(st.booleans(), label="signed zeros and ties"):
+            scores = Tensor._wrap(self.signed_zeros_and_ties(rng, shape))
+        else:
+            scores = Tensor._wrap(3.0 * rng.standard_normal(shape))
         dense = masked_softmax(scores, Tensor._wrap(mask.data), c)
         with pytest.MonkeyPatch.context() as patch:  # below the size: the band path, in chunks
             patch.setattr(tensor_mod, "_BAND_CHUNK", data.draw(st.integers(0, scores.size - 1)))
             band = masked_softmax(scores, mask, c)
+        assert band.data.tobytes() == dense.data.tobytes()
+
+    @pytest.mark.parametrize("kind, starts", [
+        ("guarded", [0]),  # only block 0 has its own mask block; the shared one is zero on the band
+        ("unguarded", []),  # one shared block, zero on the band: every chunk is only scaled
+        ("holes", [0, 2, 4]),
+        ("offsets", [0, 2, 4]),
+        ("remainder", [0, 2, 4]),  # rank 2: never only scaled
+    ])
+    def test_mask_add_runs_only_where_the_mask_is_not_zero(self, monkeypatch, kind, starts):
+        rng = np.random.default_rng(3)
+        if kind == "remainder":
+            mask = lam._remainder_mask(5, 4)
+        else:
+            mask = local_mask(5, 4, pad_guard=kind != "unguarded")
+            if kind == "holes":
+                mask = self.with_holes(rng, mask, 5)
+            elif kind == "offsets":
+                mask = self.with_offsets(rng, mask)
+        scores = Tensor._wrap(self.signed_zeros_and_ties(rng, (5, *mask.shape[1:]))
+                              if mask.ndim == 3 else rng.standard_normal(mask.shape))
+        dense = masked_softmax(scores, Tensor._wrap(mask.data), 0.5)
+        calls = []
+        add_mask = tensor_mod._add_mask
+        monkeypatch.setattr(tensor_mod, "_add_mask",
+                            lambda *a: calls.append(a[3]) or add_mask(*a))
+        monkeypatch.setattr(tensor_mod, "_BAND_CHUNK", 2 * scores.size // len(scores.data))
+        band = masked_softmax(scores, mask, 0.5)  # chunks of 2 leading indices, starting 0, 2, 4
+        assert calls == starts
         assert band.data.tobytes() == dense.data.tobytes()
 
     def test_band_path_holds_the_output_and_one_chunk(self):
@@ -382,6 +434,33 @@ class TestRowBlocks:
         assert not np.shares_memory(out, m.data)
         row, col = 3 * 8, 8  # the padded copy is C-contiguous float64, d = 3
         assert out.strides == (2 * row, row, col)
+
+    @pytest.mark.parametrize("writeable", [True, False])
+    def test_width_window_is_a_read_only_view_of_m(self, writeable):
+        arr = np.arange(24.0).reshape(8, 3)
+        arr.flags.writeable = writeable
+        out = row_blocks(Tensor._wrap(arr), 3, 3).data
+        assert np.shares_memory(out, arr)
+        assert not out.flags.writeable and arr.flags.writeable == writeable
+        with pytest.raises(ValueError):
+            out[0, 0, 0] = 1.0
+        assert_array_equal(out, arr[:6].reshape(2, 3, 3))
+
+    SOURCES = {
+        "rows-slice": lambda a: rows(Tensor(a), 1, 12),
+        "fortran": lambda a: Tensor(np.asfortranarray(a)),
+        "rows-slice-of-fortran": lambda a: rows(Tensor(np.asfortranarray(a)), 2, 13),
+    }
+
+    @pytest.mark.parametrize("source", SOURCES)
+    @pytest.mark.parametrize("window, width", [(3, 3), (4, 4), (3, 5), (4, 6)])
+    def test_any_layout_matches_the_loop(self, source, window, width):
+        m = self.SOURCES[source](np.random.default_rng(0).standard_normal((13, 4)))
+        want, _ = row_blocks_loop(m.data, window, width, np.zeros((len(m.data) // window, width, 4)))
+        out = row_blocks(m, window, width).data
+        assert_array_equal(out, want)
+        assert not out.flags.writeable
+        assert np.shares_memory(out, m.data) == (width == window)
 
 
 class TestConcat:

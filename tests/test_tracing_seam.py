@@ -4,11 +4,13 @@
 ``localattn.lam`` and ``localattn.model`` by string and cuts a kernel call
 into stages at its two block matmuls. A rename or a reordering there breaks
 the traced benchmark without failing any other test; this runs the tracer
-over one kernel call and runs every workload traced for a second.
+over one kernel call and runs every workload for a second, traced and
+untraced.
 """
 
 import importlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +59,18 @@ def test_traced_model_workload_gives_a_strict_json_result(tracing, name):
     assert metrics["attention.block_ms.enc0"] > 0
     if name == "train_toy":
         assert metrics["autodiff.tape_nodes_per_window"] > 0
+
+
+@pytest.mark.parametrize("name", ["train_toy", "forecast_eval", "kernel_long"])
+def test_untraced_workload_is_correct_with_positive_end_to_end_metrics(tracing, name):
+    """The untraced path, the one the benchmark's bounds read, checks and reports its metrics."""
+    workloads = importlib.import_module("workloads")
+    result = workloads.run(name, 7, 1.0, False)["result"]
+    assert result["correct"] and result["failed"] == 0
+    metrics = {key: entry["value"] for key, entry in result["metrics"].items()}
+    assert sorted(metrics) == ["latency_ms_p50", "peak_rss_mb", "setup_s", "throughput_per_s"]
+    for key, value in metrics.items():
+        assert math.isfinite(value) and value > 0, key
 
 
 def test_every_taped_tensor_op_reaches_the_traced_forward(tracing):
