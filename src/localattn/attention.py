@@ -120,15 +120,16 @@ def full_attention(
 
 
 # _full_attention weights rank-3 scores of more than this many elements (2 MB)
-# a chunk of at most this size of leading blocks at a time (one block at least)
+# a chunk of at most this size of leading blocks at a time (one block at least);
+# the only chunk budget: masked_softmax normalizes each chunk in one pass
 _SCORE_CHUNK = 2**18
 
 
 def _chunk_mask(mask: Tensor | None, g0: int, g1: int) -> Tensor | None:
     """The mask of score blocks g0 .. g1-1: a b-block mask's blocks min(g0, b-1) .. min(g1, b)-1.
 
-    A slice of a band mask along its leading axis is still one, so it keeps
-    the class without a second check.
+    A slice of a band mask along its leading axis is still one, and still
+    row-major, so it keeps the class without a second check.
     """
     if mask is None:
         return None
@@ -145,10 +146,12 @@ def _full_attention(ops, q, k, v, mask: Tensor | None = None, counters=None):
     ``matmul_batched``; rank-3 scores of more than ``_SCORE_CHUNK``
     elements are then normalized and multiplied by v on ``rows`` slices of
     G = max(1, _SCORE_CHUNK // (rows * cols)) blocks at a time, joined by
-    one ``concat_axis0``, so one chunk of weights is alive at once. No
-    chunk needs another's softmax state, so the output is bitwise the
-    one-chunk output, and smaller calls (every rank-2 one) run the
-    one-chunk op sequence. On the tape each chunk's ``rows`` VJP
+    one ``concat_axis0``, so one chunk of weights (and, under a
+    ``BandMask``, one band temporary of at most that size) is alive at
+    once. This is the attention core's only chunk loop: ``masked_softmax``
+    takes each chunk in one pass. No chunk needs another's softmax state,
+    so the output is bitwise the one-chunk output, and smaller calls
+    (every rank-2 one) run the one-chunk op sequence. On the tape each chunk's ``rows`` VJP
     zero-fills a scores-sized gradient; no workload records a call above
     the budget. With ``counters`` the score tensor's size is recorded as
     dot products and as live score elements until the value product is

@@ -41,7 +41,7 @@ from .model import (
     save_checkpoint,
     train,
 )
-from .tensor import _BAND_CHUNK, DegenerateRowError, Tensor
+from .tensor import DegenerateRowError, Tensor
 from .verify import run_all
 
 __all__ = ["main", "BenchRecord", "bench_records", "parse_config", "BENCH_HEADER"]
@@ -139,10 +139,10 @@ def _estimated_bytes(mechanism: str, n: int, window: int, d: int) -> int:
     if mechanism == "full":
         return n * n * 8 + operands
     # the scores, one chunk of weights (one block at least, the whole scores at most)
-    # and the band softmax's temporaries of that chunk, plus the key and value slabs
+    # and that chunk's band temporary (at most a chunk), plus the key and value slabs
     peak = score_counts(n, window)[1]
     chunk = min(peak, max(_SCORE_CHUNK, window * (2 * window - 1)))
-    return (peak + chunk + min(chunk, _BAND_CHUNK)) * 8 + 2 * (peak // window) * d * 8 + operands
+    return (peak + 2 * chunk) * 8 + 2 * (peak // window) * d * 8 + operands
 
 
 def _run_mechanism(mechanism: str, q, k, v, window: int):

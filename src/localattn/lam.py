@@ -19,21 +19,20 @@ one zero-padded copy in which neighbouring key slabs share window-1 rows
 before the sequence; those rows are zero and block 0's mask shuts them
 off (without that guard the zero rows would win softmax weight, which is
 the seeded fault used by the masking tests). Every later block shares one
-band, so the mask holds at most two blocks, O(window^2) at any n, and
-``masked_softmax`` adds it, scales and normalizes in one owned score
-buffer. Rows past s*window (when window does not divide n) run as one
-direct masked slab: a ``rows`` slice of the queries against the last
-window-1+remainder keys. Both masks are pure functions of a few
-integers, so each is built once per key in a bounded memo and shared
-read-only: the block mask keyed on (min(s, 2), window, pad_guard), the
-slab's on (rem, window). Both are :class:`~localattn.tensor.BandMask`
-instances: every query row sees at most ``window`` consecutive slab
-columns, and -inf fills the rest, so on a large call ``masked_softmax``
-normalizes only those band columns, in cache-sized chunks of blocks,
-bitwise equal to the dense softmax. The shared band block is zero on its
-band, so every chunk after block 0 is only scaled, with no mask add. :func:`score_counts` is the closed
-form of the work this layout does, the one copy every count check
-compares against.
+band, so the mask holds at most two blocks, O(window^2) at any n. It is
+a :class:`~localattn.tensor.BandMask`: every query row sees at most
+``window`` consecutive slab columns, and -inf fills the rest, so
+``masked_softmax`` masks, scales and normalizes only those band columns,
+bitwise equal to the dense softmax, and only scales a chunk of blocks
+that takes the shared band alone, which is zero on its band. Rows past
+s*window (when window does not divide n) run as one direct masked slab:
+a ``rows`` slice of the queries against the last window-1+remainder
+keys, under a plain mask (rem < window keeps that slab small). Both
+masks are pure functions of a few integers, so each is built once per
+key in a bounded memo and shared read-only: the block mask keyed on
+(min(s, 2), window, pad_guard), the slab's on (rem, window).
+:func:`score_counts` is the closed form of the work this layout does,
+the one copy every count check compares against.
 
 The blocks and the slab both attend through
 :func:`localattn.attention._full_attention`, which also keeps the
@@ -134,8 +133,8 @@ def _block_mask(blocks: int, window: int, pad_guard: bool) -> BandMask:
 
 
 @functools.lru_cache(maxsize=8)
-def _remainder_mask(rem: int, window: int) -> BandMask:
-    """Band mask for the trailing rows against their key slab, built once per key.
+def _remainder_mask(rem: int, window: int) -> Tensor:
+    """Read-only mask for the trailing rows against their key slab, built once per key.
 
     Slab column c maps to source row s*window - window + 1 + c; row t
     (source row s*window + t) keeps c in [t, t + window - 1].
@@ -143,7 +142,9 @@ def _remainder_mask(rem: int, window: int) -> BandMask:
     t = np.arange(rem)[:, np.newaxis]
     c = np.arange(rem + window - 1)[np.newaxis, :]
     keep = (t <= c) & (c <= t + window - 1)
-    return BandMask.of(np.where(keep, 0.0, -np.inf))
+    mask = Tensor._wrap(np.where(keep, 0.0, -np.inf))
+    mask.data.flags.writeable = False
+    return mask
 
 
 def _lam_attention(ops, q, k, v, window: int, counters: LamCounters | None = None,

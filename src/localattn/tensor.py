@@ -9,9 +9,9 @@ All public operations are pure: inputs are never mutated. Every batched
 matrix product runs through :func:`matmul_batched`, which counts dot
 products into a module-level counter. :func:`masked_softmax` fuses mask,
 scale and softmax; under a :class:`BandMask` (-inf outside each row's
-diagonal band) it normalizes a large score tensor on the band only, in
-cache-sized chunks, skipping the add where the mask is zero, with weights
-bitwise equal to its dense path.
+diagonal band) it normalizes the band only, in one pass, skipping the add
+where the mask is zero on its band, with weights bitwise equal to its
+dense path.
 
 This module is also the eager ``ops`` backend: code written against the
 op vocabulary (the :data:`localattn.autodiff.VJPS` ops, ``constant`` and
@@ -124,22 +124,22 @@ class Tensor:
 
 
 class BandMask(Tensor):
-    """An additive mask that is -inf everywhere outside each row's diagonal band.
+    """A rank-3 additive mask that is -inf everywhere outside each row's diagonal band.
 
     Over its last two axes, R rows by C >= R columns, row i keeps at most
     columns i .. i+C-R: every entry outside them is -inf. Under such a
-    mask :func:`masked_softmax` can normalize the band alone. Build one
-    with :meth:`of`, which checks the band once.
+    mask :func:`masked_softmax` normalizes the band alone. Build one with
+    :meth:`of`, which checks the band once.
     """
 
     __slots__ = ()
 
     @classmethod
     def of(cls, data) -> "BandMask":
-        """``data`` (rank 2 or 3, made read-only) checked to be a band mask."""
-        arr = Tensor(data, allow_neg_inf=True).data
-        if arr.ndim not in (2, 3) or arr.shape[-1] < arr.shape[-2]:
-            raise DimensionError(f"a band mask needs rank 2 or 3 and at least as many "
+        """``data`` (rank 3, as a read-only row-major copy if needed) checked to be a band mask."""
+        arr = np.ascontiguousarray(Tensor(data, allow_neg_inf=True).data)
+        if arr.ndim != 3 or arr.shape[-1] < arr.shape[-2]:
+            raise DimensionError(f"a band mask needs rank 3 and at least as many "
                                  f"columns as rows, got shape {arr.shape}")
         r, c = arr.shape[-2:]
         lag = np.arange(c) - np.arange(r)[:, np.newaxis]
@@ -220,12 +220,11 @@ def _short_mask(arr: np.ndarray, m: np.ndarray) -> bool:
     return False
 
 
-def _add_mask(arr: np.ndarray, m: np.ndarray, out: np.ndarray, start: int = 0) -> np.ndarray:
-    """out = arr + m, arr holding leading indices start.. of the scores; index r takes mask block min(r, b-1)."""
-    last = len(m) - 1
-    own = min(max(last, start), start + len(arr)) - start  # the first ``own`` take their own block
-    np.add(arr[:own], m[start : start + own], out=out[:own])
-    np.add(arr[own:], m[last], out=out[own:])
+def _add_mask(arr: np.ndarray, m: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = arr + m; leading index r of arr takes mask block min(r, b-1)."""
+    own = min(len(m) - 1, len(arr))  # the first ``own`` take their own block
+    np.add(arr[:own], m[:own], out=out[:own])
+    np.add(arr[own:], m[-1], out=out[own:])
     return out
 
 
@@ -234,53 +233,40 @@ def _plus_mask(arr: np.ndarray, m: np.ndarray) -> np.ndarray:
     return _add_mask(arr, m, np.empty_like(arr)) if _short_mask(arr, m) else arr + m
 
 
-# masked_softmax normalizes only the band of scores larger than this many
-# elements (256 KB) under a BandMask, one chunk of about this size at a time
-_BAND_CHUNK = 2**15
-
-
 def _band(arr: np.ndarray, width: int) -> np.ndarray:
-    """Zero-copy view of each row's band: row i of the last two axes, columns i .. i+width-1."""
+    """Zero-copy view of each row's band of a contiguous array: row i, columns i .. i+width-1."""
     *lead, rows, _ = arr.shape
     *steps, row, col = arr.strides
-    return np.lib.stride_tricks.as_strided(arr, (*lead, rows, width), (*steps, row + col, col))
+    return np.ndarray((*lead, rows, width), arr.dtype, arr, 0, (*steps, row + col, col))
 
 
 def _band_softmax(scores: np.ndarray, mask: np.ndarray, c: float) -> np.ndarray:
-    """:func:`masked_softmax` under a band mask, on the band only, a chunk of leading indices at a time.
+    """:func:`masked_softmax` under a band mask, computed on the band only, in one pass.
 
-    Each chunk's band is masked, scaled, shifted and exponentiated in a
-    contiguous temporary and copied into the output's band; outside it the
-    output keeps its zeros. The chunk's full rows are summed, which repeats
-    the dense path's reduction, and only the band is divided by those sums
+    The band is masked, scaled, shifted and exponentiated in a contiguous
+    temporary and copied into the output's band; outside it the output
+    keeps its zeros. The full output rows are summed, which repeats the
+    dense path's reduction, and only the band is divided by those sums
     (0/x is +0.0), so the weights are bitwise the dense path's for scores
-    without NaN or +inf. When a rank-3 mask's last block is zero on its
-    band, chunks that take only that block are scaled without the add:
-    x + 0.0 differs from x only in the sign of a zero, which the row-max
-    subtraction and exp map to the same weight.
+    without NaN or +inf. A mask that is zero on its whole band is not
+    added, only the scale applied: x + 0.0 differs from x only in the
+    sign of a zero, which the row-max subtraction and exp map to the same
+    weight.
     """
-    _short_mask(scores, mask)  # the dense path's shape rule; _add_mask takes either kind
+    scores = np.ascontiguousarray(scores)  # the band view reads the buffer; no copy for the core
+    _short_mask(scores, mask)  # the dense path's shape rule
     width = scores.shape[-1] - scores.shape[-2] + 1
     out = np.zeros(scores.shape)
     sb, mb, ob = _band(scores, width), _band(mask, width), _band(out, width)
-    s, last = len(scores), len(mask) - 1
-    # chunks from here on take only the last mask block; if it is zero on its band, skip the add
-    scale_from = last if mask.ndim == 3 and not mb[last].any() else s
-    step = max(1, _BAND_CHUNK // (scores.size // s))
-    tmp = np.empty((min(step, s), *sb.shape[1:]))
-    for g0 in range(0, s, step):
-        g1 = min(g0 + step, s)
-        t = tmp[: g1 - g0]
-        if g0 >= scale_from:
-            np.multiply(sb[g0:g1], c, out=t)
-        else:
-            _add_mask(sb[g0:g1], mb, t, g0)
-            t *= c
-        t -= _row_max(t)
-        np.exp(t, out=t)  # faster here than into the strided band
-        band = ob[g0:g1]
-        band[...] = t
-        np.divide(t, out[g0:g1].sum(axis=-1, keepdims=True), out=band)
+    if mb.any():
+        t = _add_mask(sb, mb, np.empty(sb.shape))
+        t *= c
+    else:
+        t = sb * c
+    t -= _row_max(t)
+    np.exp(t, out=t)  # faster here than into the strided band
+    ob[...] = t
+    np.divide(t, out.sum(axis=-1, keepdims=True), out=ob)
     return out
 
 
@@ -293,17 +279,16 @@ def masked_softmax(scores: Tensor, mask: Tensor | None, c: float) -> Tensor:
     later one, so a band most blocks share is stored once. ``c`` must be
     positive and finite (a negative factor would turn -inf into +inf).
 
-    Under a :class:`BandMask`, scores of more than ``_BAND_CHUNK`` elements
-    are masked, scaled, exponentiated and divided on the band only, one
-    cache-sized chunk at a time, and blocks that take a shared mask block
-    that is zero on its band are only scaled; the weights are bitwise
-    those of the dense path, which smaller scores take.
+    Under a :class:`BandMask` the scores are masked, scaled, exponentiated
+    and divided on the band only, and a mask that is zero on its band is
+    not added; the weights are bitwise those of the dense path, which
+    every other mask takes.
     """
     if not (math.isfinite(c) and c > 0):
         raise ValueError(f"softmax scale must be positive and finite, got {c}")
     if mask is None:
         out = scores.data * c
-    elif isinstance(mask, BandMask) and scores.data.size > _BAND_CHUNK:
+    elif isinstance(mask, BandMask):
         return Tensor._wrap(_band_softmax(scores.data, mask.data, c))
     else:
         out = _plus_mask(scores.data, mask.data)

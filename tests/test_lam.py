@@ -383,29 +383,38 @@ class TestKernel:
 class TestBandPath:
     """The kernel through masked_softmax's band path keeps the verify guarantees."""
 
+    @staticmethod
+    def count_band_calls(monkeypatch):
+        calls = []
+        band_softmax = tensor._band_softmax
+        monkeypatch.setattr(tensor, "_band_softmax", lambda *a: calls.append(a) or band_softmax(*a))
+        return calls
+
     def test_forced_band_path_passes_verify(self, monkeypatch):
-        monkeypatch.setattr(tensor, "_BAND_CHUNK", 3)  # every lam score tensor is larger
+        calls = self.count_band_calls(monkeypatch)  # every block call, eager and taped
         for suite in (suite_oracle_equivalence(40), suite_masking(25), suite_gradients(2)):
             assert suite.passed, suite.detail
         faulty = run_all(trials=12, inject_fault=True)
         assert [r.name for r in faulty if not r.passed] == ["oracle-equivalence"]
+        assert calls
 
     def test_long_call_takes_the_band_path_bitwise(self, monkeypatch):
-        n, window = 3005, 12  # 250 blocks: several chunks, then five trailing rows
-        assert score_counts(n, window)[1] > tensor._BAND_CHUNK
-        calls = []
-        band_softmax = tensor._band_softmax
-        monkeypatch.setattr(tensor, "_band_softmax", lambda *a: calls.append(a) or band_softmax(*a))
+        n, window = 20000, 60  # 333 blocks: ten chunks of at most 36, then 20 trailing rows
+        chunks = -(-(n // window) // (attention._SCORE_CHUNK // (window * (2 * window - 1))))
+        calls = self.count_band_calls(monkeypatch)
         q, k, v = random_qkv(np.random.default_rng(30), n, 4, 3)
         counters = LamCounters()
         out = lam_forward(q, k, v, window, counters=counters).data
-        assert len(calls) == 1
+        assert len(calls) == chunks == 10  # one pass per chunk; the trailing slab is dense
         assert (counters.dot_products, counters.peak_score_elements) == score_counts(n, window)
 
-        monkeypatch.setattr(tensor, "_BAND_CHUNK", n * n)  # every call dense
+        # the dense reference: the same block masks as plain tensors
+        monkeypatch.setattr(lam, "local_mask", lambda *a: Tensor._wrap(local_mask(*a).data))
+        calls.clear()
         assert lam_forward(q, k, v, window).data.tobytes() == out.tobytes()
-        for lo in range(0, n, 500):  # every row, so every chunk boundary
-            hi, start = min(lo + 500, n), max(0, lo - window + 1)
+        assert not calls
+        for lo in range(0, n, 2000):  # every chunk boundary
+            hi, start = min(lo + 2000, n), max(0, lo - window + 1)
             part = [Tensor._wrap(t.data[start:hi]) for t in (q, k, v)]
             want = masked_full_attention_oracle(*part, window).data[lo - start :]
             assert np.max(np.abs(out[lo:hi] - want)) <= 1e-10

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from localattn.attention import _chunk_mask
 import localattn.tensor as tensor_mod
-import localattn.lam as lam
 from localattn.lam import local_mask
 from localattn.tensor import (
     BandMask,
@@ -276,7 +276,7 @@ class TestBandMask:
         arr[arr == 0] *= rng.choice([1.0, -1.0], (arr == 0).sum())
         return arr
 
-    KINDS = ["blocks", "blocks-with-holes", "blocks-with-offsets", "remainder"]
+    KINDS = ["blocks", "blocks-with-holes", "blocks-with-offsets"]
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
@@ -284,58 +284,55 @@ class TestBandMask:
         kind = data.draw(st.sampled_from(self.KINDS), label="kind")
         window = data.draw(st.integers(1, 12), label="window")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-        if kind == "remainder":  # rank 2: the chunks are runs of rows
-            mask = lam._remainder_mask(data.draw(st.integers(1, 12), label="rem"), window)
-            shape = mask.shape
-        else:  # rank 3: the chunks are runs of blocks
-            s = data.draw(st.integers(1, 20), label="s")
-            mask = local_mask(s, window, data.draw(st.booleans(), label="pad_guard"))
-            if kind == "blocks-with-holes":
-                mask = self.with_holes(rng, mask, s)
-            elif kind == "blocks-with-offsets":
-                mask = self.with_offsets(rng, mask)
-            shape = (s, window, 2 * window - 1)
+        s = data.draw(st.integers(1, 20), label="s")
+        mask = local_mask(s, window, data.draw(st.booleans(), label="pad_guard"))
+        if kind == "blocks-with-holes":
+            mask = self.with_holes(rng, mask, s)
+        elif kind == "blocks-with-offsets":
+            mask = self.with_offsets(rng, mask)
+        shape = (s, window, 2 * window - 1)
         c = data.draw(st.floats(1e-3, 10.0), label="c")
         if data.draw(st.booleans(), label="signed zeros and ties"):
             scores = Tensor._wrap(self.signed_zeros_and_ties(rng, shape))
         else:
             scores = Tensor._wrap(3.0 * rng.standard_normal(shape))
-        dense = masked_softmax(scores, Tensor._wrap(mask.data), c)
-        with pytest.MonkeyPatch.context() as patch:  # below the size: the band path, in chunks
-            patch.setattr(tensor_mod, "_BAND_CHUNK", data.draw(st.integers(0, scores.size - 1)))
-            band = masked_softmax(scores, mask, c)
-        assert band.data.tobytes() == dense.data.tobytes()
+        dense = masked_softmax(scores, Tensor._wrap(mask.data), c).data
+        assert masked_softmax(scores, mask, c).data.tobytes() == dense.tobytes()
+        # a chunk of blocks as the attention core passes it: a rows view and its mask blocks
+        g0 = data.draw(st.integers(0, s - 1), label="g0")
+        g1 = data.draw(st.integers(g0 + 1, s), label="g1")
+        part = masked_softmax(rows(scores, g0, g1), _chunk_mask(mask, g0, g1), c)
+        assert part.data.tobytes() == dense[g0:g1].tobytes()
 
     @pytest.mark.parametrize("kind, starts", [
         ("guarded", [0]),  # only block 0 has its own mask block; the shared one is zero on the band
         ("unguarded", []),  # one shared block, zero on the band: every chunk is only scaled
         ("holes", [0, 2, 4]),
         ("offsets", [0, 2, 4]),
-        ("remainder", [0, 2, 4]),  # rank 2: never only scaled
     ])
     def test_mask_add_runs_only_where_the_mask_is_not_zero(self, monkeypatch, kind, starts):
+        """Per call, the add runs exactly when the mask has a non-zero entry on its band."""
         rng = np.random.default_rng(3)
-        if kind == "remainder":
-            mask = lam._remainder_mask(5, 4)
-        else:
-            mask = local_mask(5, 4, pad_guard=kind != "unguarded")
-            if kind == "holes":
-                mask = self.with_holes(rng, mask, 5)
-            elif kind == "offsets":
-                mask = self.with_offsets(rng, mask)
-        scores = Tensor._wrap(self.signed_zeros_and_ties(rng, (5, *mask.shape[1:]))
-                              if mask.ndim == 3 else rng.standard_normal(mask.shape))
-        dense = masked_softmax(scores, Tensor._wrap(mask.data), 0.5)
-        calls = []
+        mask = local_mask(5, 4, pad_guard=kind != "unguarded")
+        if kind == "holes":
+            mask = self.with_holes(rng, mask, 5)
+        elif kind == "offsets":
+            mask = self.with_offsets(rng, mask)
+        scores = Tensor._wrap(self.signed_zeros_and_ties(rng, (5, *mask.shape[1:])))
+        dense = masked_softmax(scores, Tensor._wrap(mask.data), 0.5).data
+        calls, added = [], []
         add_mask = tensor_mod._add_mask
-        monkeypatch.setattr(tensor_mod, "_add_mask",
-                            lambda *a: calls.append(a[3]) or add_mask(*a))
-        monkeypatch.setattr(tensor_mod, "_BAND_CHUNK", 2 * scores.size // len(scores.data))
-        band = masked_softmax(scores, mask, 0.5)  # chunks of 2 leading indices, starting 0, 2, 4
-        assert calls == starts
-        assert band.data.tobytes() == dense.data.tobytes()
+        monkeypatch.setattr(tensor_mod, "_add_mask", lambda *a: calls.append(a) or add_mask(*a))
+        for g0, g1 in [(0, 2), (2, 4), (4, 5)]:  # the core's chunks of 2 blocks, one call each
+            part = masked_softmax(rows(scores, g0, g1), _chunk_mask(mask, g0, g1), 0.5)
+            assert part.data.tobytes() == dense[g0:g1].tobytes()
+            if calls:
+                added.append(g0)
+            calls.clear()
+        assert added == starts
 
     def test_band_path_holds_the_output_and_one_chunk(self):
+        """One call is one chunk: it holds its output and one band temporary, not a second score buffer."""
         mask = local_mask(2000, 8)
         scores = Tensor._wrap(np.random.default_rng(0).standard_normal((2000, 8, 15)))
         tracemalloc.start()
@@ -344,16 +341,31 @@ class TestBandMask:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # one chunk's temporaries and numpy's ufunc buffers, not a second score buffer
-        assert 0 < peak - out.data.nbytes <= 2 * tensor_mod._BAND_CHUNK * 8 < out.data.nbytes
+        band, row_vector = 2000 * 8 * 8 * 8, 2000 * 8 * 8  # the band temporary; row maxima or sums
+        # the band, the row maxima and sums, and numpy's ufunc buffers
+        assert 0 < peak - out.data.nbytes <= band + 2 * row_vector + 2**16 < out.data.nbytes
 
-    @pytest.mark.parametrize("chunk", [0, 2**62])  # the band path, the dense path
-    def test_fully_masked_band_row_raises_on_both_paths(self, monkeypatch, chunk):
+    @pytest.mark.parametrize("path", ["band", "dense"])
+    def test_fully_masked_band_row_raises_on_both_paths(self, path):
         arr = np.array(local_mask(3, 4).data)
         arr[1, 2] = NEG_INF  # block 1 and every later one: row 2 keeps nothing
-        monkeypatch.setattr(tensor_mod, "_BAND_CHUNK", chunk)
+        mask = BandMask.of(arr) if path == "band" else Tensor(arr, allow_neg_inf=True)
         with pytest.raises(DegenerateRowError):
-            masked_softmax(Tensor(np.ones((3, 4, 7))), BandMask.of(arr), 1.0)
+            masked_softmax(Tensor(np.ones((3, 4, 7))), mask, 1.0)
+
+    def test_any_layout_equals_the_dense_path_bitwise(self):
+        """Scores and mask sources that are not row-major take the band path and match the dense path."""
+        rng = np.random.default_rng(4)
+        mask = self.with_offsets(rng, local_mask(6, 3))
+        mixed = np.ascontiguousarray(mask.data.transpose(1, 0, 2)).transpose(1, 0, 2)
+        assert not (mixed.flags.c_contiguous or mixed.flags.f_contiguous)
+        from_mixed = BandMask.of(mixed)
+        scores = rng.standard_normal((12, 3, 5))
+        for arr in (np.asfortranarray(scores[:6]), scores[::2]):
+            dense = masked_softmax(Tensor._wrap(arr), Tensor._wrap(mask.data), 0.7).data
+            for band_mask in (mask, from_mixed):
+                band = masked_softmax(Tensor._wrap(arr), band_mask, 0.7).data
+                assert band.tobytes() == dense.tobytes()
 
     def test_of_rejects_a_finite_entry_outside_the_band(self):
         arr = np.array(local_mask(3, 4).data)
@@ -361,13 +373,13 @@ class TestBandMask:
         with pytest.raises(ValueError, match="outside its band"):
             BandMask.of(arr)
 
-    @pytest.mark.parametrize("shape", [(4,), (3, 2), (2, 5, 4), (1, 1, 2, 2)])
+    @pytest.mark.parametrize("shape", [(4,), (3, 2), (2, 5, 4), (1, 1, 2, 2), (3, 4)])
     def test_of_rejects_a_shape_without_a_band(self, shape):
         with pytest.raises(DimensionError):
             BandMask.of(np.zeros(shape))
 
     def test_of_makes_the_mask_read_only(self):
-        mask = BandMask.of(np.where(np.eye(3, 4) == 1, 0.0, NEG_INF))
+        mask = BandMask.of(np.where(np.eye(3, 4) == 1, 0.0, NEG_INF)[np.newaxis])
         assert isinstance(mask, Tensor) and not mask.data.flags.writeable
 
 
