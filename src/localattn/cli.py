@@ -5,8 +5,8 @@ and :func:`train` keywords (``CONFIG_KEYS``); a key the file leaves out
 takes the library default. ``bandmass`` and ``forecast`` load their model
 from a checkpoint that ``train`` wrote.
 
-Exit codes: 0 success, 1 suite or run failure (a numerical
-``DegenerateRowError`` included), 2 usage error (any other ``ValueError``).
+Exit codes: 0 success, 1 suite or run failure (``DegenerateRowError`` or
+``MemoryError``), 2 usage error (any other ``ValueError``).
 Every command is deterministic under a fixed --seed.
 """
 
@@ -580,8 +580,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DegenerateRowError as exc:  # numerical: a run failure, not bad input
-        print(f"error: {exc}", file=sys.stderr)
+    except (DegenerateRowError, MemoryError) as exc:  # numerical or too large: a run failure
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -107,7 +107,7 @@ def synth_series(
 def load_csv(path: str) -> RawSeries:
     """Read a one-header CSV of numeric columns into a series.
 
-    A leading timestamp column is detected (first data cell not parseable
+    A leading timestamp column is detected (none of its data cells parses
     as a float) and excluded from the features. Rows containing any
     non-finite or unparseable feature cell are dropped and reported in
     ``dropped_rows`` with their 1-based file line numbers. Rows whose
@@ -144,7 +144,7 @@ def load_csv(path: str) -> RawSeries:
             raise ValueError(
                 f"{path}: line {line} has {len(row)} cells, header has {len(header)}"
             )
-    first_col_is_time = not is_float(data[0][0])
+    first_col_is_time = not any(is_float(row[0]) for row in data)
     start = 1 if first_col_is_time else 0
     names = tuple(name.strip() for name in header[start:])
     if not names:

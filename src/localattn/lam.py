@@ -27,10 +27,10 @@ bitwise equal to the dense softmax, and only scales a chunk of blocks
 that takes the shared band alone, which is zero on its band. Rows past
 s*window (when window does not divide n) run as one direct masked slab:
 a ``rows`` slice of the queries against the last window-1+remainder
-keys, under a plain mask (rem < window keeps that slab small). Both
-masks are pure functions of a few integers, so each is built once per
-key in a bounded memo and shared read-only: the block mask keyed on
-(min(s, 2), window, pad_guard), the slab's on (rem, window).
+keys, under a plain mask cut from the unguarded band block's corner
+(rem < window keeps that slab small). Both masks are pure functions of
+integers, built once per key in a bounded memo and shared read-only: the
+block mask keyed on (blocks, window, pad_guard), the corner on (rem, window).
 :func:`score_counts` is the closed form of the work this layout does,
 the one copy every count check compares against.
 
@@ -114,12 +114,12 @@ def local_mask(s: int, window: int, pad_guard: bool = True) -> BandMask:
     holds min(s, 2) blocks and ``masked_softmax`` applies the last one to
     every later score block. ``pad_guard=False`` drops block 0's guard,
     leaving the one band block; it exists only to demonstrate the failure
-    it causes. The mask is built once per (min(s, 2), window, pad_guard)
-    and shared read-only by every later call with that key.
+    it causes. The mask is built once per (blocks, window, pad_guard), one
+    block at every s unguarded, and shared read-only by later calls.
     """
     if s < 1 or window < 1:
         raise ValueError(f"need s >= 1 and window >= 1, got s={s}, window={window}")
-    return _block_mask(min(s, 2), window, pad_guard)
+    return _block_mask(min(s, 2) if pad_guard else 1, window, pad_guard)
 
 
 @functools.lru_cache(maxsize=8)
@@ -137,12 +137,10 @@ def _remainder_mask(rem: int, window: int) -> Tensor:
     """Read-only mask for the trailing rows against their key slab, built once per key.
 
     Slab column c maps to source row s*window - window + 1 + c; row t
-    (source row s*window + t) keeps c in [t, t + window - 1].
+    (source row s*window + t) keeps c in [t, t + window - 1], as in the
+    unguarded band block, whose top-left corner this copies.
     """
-    t = np.arange(rem)[:, np.newaxis]
-    c = np.arange(rem + window - 1)[np.newaxis, :]
-    keep = (t <= c) & (c <= t + window - 1)
-    mask = Tensor._wrap(np.where(keep, 0.0, -np.inf))
+    mask = Tensor._wrap(_block_mask(1, window, False).data[0, :rem, : rem + window - 1].copy())
     mask.data.flags.writeable = False
     return mask
 

@@ -137,7 +137,7 @@ class BandMask(Tensor):
     @classmethod
     def of(cls, data) -> "BandMask":
         """``data`` (rank 3, as a read-only row-major copy if needed) checked to be a band mask."""
-        arr = np.ascontiguousarray(Tensor(data, allow_neg_inf=True).data)
+        arr = np.ascontiguousarray(Tensor(data, allow_neg_inf=True).data).view()
         if arr.ndim != 3 or arr.shape[-1] < arr.shape[-2]:
             raise DimensionError(f"a band mask needs rank 3 and at least as many "
                                  f"columns as rows, got shape {arr.shape}")
@@ -145,7 +145,7 @@ class BandMask(Tensor):
         lag = np.arange(c) - np.arange(r)[:, np.newaxis]
         if (arr[..., (lag < 0) | (lag > c - r)] != -np.inf).any():
             raise ValueError("band mask has a finite entry outside its band")
-        arr.flags.writeable = False
+        arr.flags.writeable = False  # on a view: a caller's own array stays writeable
         return cls._wrap(arr)
 
 
@@ -211,26 +211,21 @@ def softmax_lastdim(t: Tensor) -> Tensor:
     return Tensor._wrap(_softmax_lastdim_inplace(np.array(t.data)))
 
 
-def _short_mask(arr: np.ndarray, m: np.ndarray) -> bool:
-    """Whether ``m`` holds b <= s blocks of rank-3 scores of s blocks; else it must have their shape."""
-    if arr.ndim == 3 and m.ndim == 3 and m.shape[1:] == arr.shape[1:] and 1 <= len(m) <= len(arr):
-        return True
-    if m.shape != arr.shape:
+def _check_mask(arr: np.ndarray, m: np.ndarray) -> None:
+    """``m`` has the scores' shape, or holds 1 <= b <= s blocks of rank-3 scores of s blocks."""
+    blocks = arr.ndim == m.ndim == 3 and m.shape[1:] == arr.shape[1:] and 1 <= len(m) <= len(arr)
+    if not (blocks or m.shape == arr.shape):
         raise DimensionError(f"mask shape {m.shape} does not fit scores {arr.shape}")
-    return False
 
 
 def _add_mask(arr: np.ndarray, m: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = arr + m; leading index r of arr takes mask block min(r, b-1)."""
-    own = min(len(m) - 1, len(arr))  # the first ``own`` take their own block
+    """out = arr + m: leading index r of arr takes block min(r, b-1) of a b-block mask."""
+    if m.shape == arr.shape:  # b = s
+        return np.add(arr, m, out=out)
+    own = len(m) - 1  # the first b-1 take their own block, the rest the last
     np.add(arr[:own], m[:own], out=out[:own])
     np.add(arr[own:], m[-1], out=out[own:])
     return out
-
-
-def _plus_mask(arr: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """arr + m in a new array; a short rank-3 mask repeats its last block."""
-    return _add_mask(arr, m, np.empty_like(arr)) if _short_mask(arr, m) else arr + m
 
 
 def _band(arr: np.ndarray, width: int) -> np.ndarray:
@@ -254,7 +249,6 @@ def _band_softmax(scores: np.ndarray, mask: np.ndarray, c: float) -> np.ndarray:
     weight.
     """
     scores = np.ascontiguousarray(scores)  # the band view reads the buffer; no copy for the core
-    _short_mask(scores, mask)  # the dense path's shape rule
     width = scores.shape[-1] - scores.shape[-2] + 1
     out = np.zeros(scores.shape)
     sb, mb, ob = _band(scores, width), _band(mask, width), _band(out, width)
@@ -274,9 +268,9 @@ def masked_softmax(scores: Tensor, mask: Tensor | None, c: float) -> Tensor:
     """softmax((scores + mask) * c) over the last axis, in one owned buffer.
 
     ``mask`` is additive (0 keeps an entry, -inf drops it) or None. Against
-    rank-3 scores of s blocks a rank-3 mask may hold b <= s blocks: mask
-    block r applies to score block r and the last mask block to every
-    later one, so a band most blocks share is stored once. ``c`` must be
+    rank-3 scores of s blocks a rank-3 mask may hold b <= s blocks: score
+    block r takes mask block min(r, b-1) (:func:`_add_mask`, the one add
+    rule), so a band most blocks share is stored once. ``c`` must be
     positive and finite (a negative factor would turn -inf into +inf).
 
     Under a :class:`BandMask` the scores are masked, scaled, exponentiated
@@ -288,10 +282,11 @@ def masked_softmax(scores: Tensor, mask: Tensor | None, c: float) -> Tensor:
         raise ValueError(f"softmax scale must be positive and finite, got {c}")
     if mask is None:
         out = scores.data * c
-    elif isinstance(mask, BandMask):
-        return Tensor._wrap(_band_softmax(scores.data, mask.data, c))
     else:
-        out = _plus_mask(scores.data, mask.data)
+        _check_mask(scores.data, mask.data)
+        if isinstance(mask, BandMask):
+            return Tensor._wrap(_band_softmax(scores.data, mask.data, c))
+        out = _add_mask(scores.data, mask.data, np.empty(scores.shape))
         out *= c
     return Tensor._wrap(_softmax_lastdim_inplace(out))
 

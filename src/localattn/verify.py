@@ -202,7 +202,7 @@ def suite_masking(trials: int = 25, seed: int = 0) -> SuiteResult:
         for weights, mask in probe.softmaxes:
             w = weights.data
             worst_sum = max(worst_sum, float(np.abs(w.sum(axis=-1) - 1.0).max()))
-            dropped = np.isneginf(tensor._plus_mask(np.zeros_like(w), mask.data))
+            dropped = np.isneginf(tensor._add_mask(np.zeros_like(w), mask.data, np.empty(w.shape)))
             nonzero_masked += int(np.count_nonzero(w[dropped]))
 
     passed = worst_sum <= _TOL_ROWSUM and nonzero_masked == 0

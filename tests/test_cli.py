@@ -498,6 +498,20 @@ class TestMainPlumbing:
             "error: softmax row with no finite entry cannot be normalized\n"
         )
 
+    @pytest.mark.parametrize("message, line", [
+        ("Unable to allocate 745. GiB for an array", "Unable to allocate 745. GiB for an array"),
+        ("", "MemoryError"),
+    ])
+    def test_out_of_memory_is_a_run_failure_exit_1(self, tmp_path, capsys, monkeypatch,
+                                                    message, line):
+        def too_large(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "synth_series", too_large)
+        argv, _ = tiny_train_args(tmp_path)
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {line}\n"
+
     def test_untrainable_kind_exits_2_before_loading_data(self, tmp_path, capsys, monkeypatch):
         argv, out = tiny_train_args(tmp_path, kind="prob")
         monkeypatch.setattr(cli, "_load_series", lambda *args: pytest.fail("data loaded"))

@@ -116,6 +116,15 @@ class TestLoadCsv:
         assert raw.feature_names == ("a", "b")
         assert raw.values.shape == (2, 2)
 
+    @pytest.mark.parametrize("first_cell", ["", "x"])
+    def test_bad_first_cell_of_a_numeric_column_drops_its_row(self, tmp_path, first_cell):
+        """Only a first column with no numeric cell is a timestamp; here line 2 is dropped."""
+        raw = load_csv(self.write(tmp_path, f"a,b\n{first_cell},2\n1,3\n2,4\n"))
+        assert raw.feature_names == ("a", "b")
+        assert np.array_equal(raw.values, [[1, 3], [2, 4]])
+        assert [line for line, _ in raw.dropped_rows] == [2]
+        assert "column a: unparseable" in raw.dropped_rows[0][1]
+
     def test_nan_row_dropped_with_line_number(self, tmp_path):
         path = self.write(tmp_path, "a,b\n1,2\n3,NaN\n5,6\n")
         raw = load_csv(path)

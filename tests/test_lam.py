@@ -208,6 +208,15 @@ class TestMaskMemo:
         assert_array_equal(lam._remainder_mask(rem, window).data,
                            reference_remainder_mask(rem, window))
 
+    def test_remainder_mask_is_a_corner_of_the_one_unguarded_band_block(self):
+        for window in range(2, 41):
+            band = local_mask(1, window, pad_guard=False).data
+            assert local_mask(window + 2, window, pad_guard=False).data is band
+            for rem in range(1, window):
+                m = lam._remainder_mask(rem, window).data
+                assert m.flags.c_contiguous and not m.flags.writeable
+                assert_array_equal(m, band[0, :rem, : rem + window - 1])
+
     @pytest.mark.parametrize("build", [lambda: local_mask(3, 4), lambda: local_mask(3, 4, False),
                                        lambda: lam._remainder_mask(2, 4)])
     def test_masks_are_read_only(self, build):

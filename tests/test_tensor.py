@@ -248,6 +248,31 @@ class TestMaskedSoftmax:
             masked_softmax(scores, mask, c)
         assert type(info.value) is error
 
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_one_add_rule_equals_numpy_softmax_bitwise(self, data):
+        """Plain masks, full rank 2, full rank 3 or short rank 3: block r takes mask block min(r, b-1)."""
+        kind = data.draw(st.sampled_from(["rank2-full", "rank3-full", "rank3-short"]), label="kind")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        r, cols = data.draw(st.integers(1, 8), label="rows"), data.draw(st.integers(1, 24), label="cols")
+        s = data.draw(st.integers(2 if kind == "rank3-short" else 1, 6), label="s")
+        b = data.draw(st.integers(1, s - 1), label="b") if kind == "rank3-short" else s
+        shape, mask_shape = ((r, cols),) * 2 if kind == "rank2-full" else ((s, r, cols), (b, r, cols))
+        mask = np.where(rng.random(mask_shape) < 0.4, NEG_INF, rng.choice([0.0, -0.0, 0.5], mask_shape))
+        keep = rng.integers(0, cols, (*mask_shape[:-1], 1))  # one kept slot per row
+        np.put_along_axis(mask, keep, 0.0, axis=-1)
+        if data.draw(st.booleans(), label="signed zeros and ties"):
+            scores = TestBandMask.signed_zeros_and_ties(rng, shape)
+        else:
+            scores = 3.0 * rng.standard_normal(shape)
+        c = data.draw(st.floats(1e-3, 10.0), label="c")
+        expanded = mask if kind == "rank2-full" else mask[np.minimum(np.arange(s), b - 1)]
+        x = (scores + expanded) * c
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
+        want = e / e.sum(axis=-1, keepdims=True)
+        got = masked_softmax(Tensor._wrap(scores), Tensor._wrap(mask), c)
+        assert got.data.tobytes() == want.tobytes()
+
 
 class TestBandMask:
     """Under a BandMask, masked_softmax's band path equals the dense path bitwise."""
@@ -381,6 +406,11 @@ class TestBandMask:
     def test_of_makes_the_mask_read_only(self):
         mask = BandMask.of(np.where(np.eye(3, 4) == 1, 0.0, NEG_INF)[np.newaxis])
         assert isinstance(mask, Tensor) and not mask.data.flags.writeable
+
+    def test_of_leaves_the_callers_array_writeable(self):
+        a = np.where(np.eye(2, 3) == 1, 0.0, NEG_INF)[np.newaxis]  # contiguous float64 (1, 2, 3)
+        mask = BandMask.of(a)
+        assert a.flags.writeable and not mask.data.flags.writeable
 
 
 class TestGatherRowsPadded:
