@@ -121,7 +121,7 @@ def full_attention(
 
 # _full_attention weights rank-3 scores of more than this many elements (2 MB)
 # a chunk of at most this size of leading blocks at a time (one block at least);
-# the only chunk budget: masked_softmax normalizes each chunk in one pass
+# the only chunk budget: softmax_lastdim normalizes each chunk in one pass
 _SCORE_CHUNK = 2**18
 
 
@@ -142,13 +142,13 @@ def _full_attention(ops, q, k, v, mask: Tensor | None = None, counters=None):
 
     Works over the last two axes, so rank-3 operands attend block by block
     (the banded kernel's blocks and its remainder slab both run here);
-    ``mask`` is a ``masked_softmax`` mask. All scores come from one
+    ``mask`` is a ``softmax_lastdim`` mask. All scores come from one
     ``matmul_batched``; rank-3 scores of more than ``_SCORE_CHUNK``
     elements are then normalized and multiplied by v on ``rows`` slices of
     G = max(1, _SCORE_CHUNK // (rows * cols)) blocks at a time, joined by
     one ``concat_axis0``, so one chunk of weights (and, under a
     ``BandMask``, one band temporary of at most that size) is alive at
-    once. This is the attention core's only chunk loop: ``masked_softmax``
+    once. This is the attention core's only chunk loop: ``softmax_lastdim``
     takes each chunk in one pass. No chunk needs another's softmax state,
     so the output is bitwise the one-chunk output, and smaller calls
     (every rank-2 one) run the one-chunk op sequence. On the tape each chunk's ``rows`` VJP
@@ -165,13 +165,13 @@ def _full_attention(ops, q, k, v, mask: Tensor | None = None, counters=None):
     c = 1.0 / math.sqrt(ops.value(q).shape[-1])
     s, step = shape[0], max(1, _SCORE_CHUNK // (shape[-2] * shape[-1]))
     if len(shape) == 2 or step >= s:
-        out = ops.matmul_batched(ops.masked_softmax(scores, mask, c), v)
+        out = ops.matmul_batched(ops.softmax_lastdim(scores, mask, c), v)
     else:
         spans = [(g0, min(g0 + step, s)) for g0 in range(0, s, step)]
         # one expression per chunk, so a chunk's weights are freed before the next is made
         out = ops.concat_axis0([
             ops.matmul_batched(
-                ops.masked_softmax(ops.rows(scores, g0, g1), _chunk_mask(mask, g0, g1), c),
+                ops.softmax_lastdim(ops.rows(scores, g0, g1), _chunk_mask(mask, g0, g1), c),
                 ops.rows(v, g0, g1),
             )
             for g0, g1 in spans

@@ -10,9 +10,9 @@ output and static arguments. Backward walks the tape (topological by
 construction) in reverse, reading each input from its node and each
 VJP rule from the table, accumulating vector-Jacobian products.
 
-Masked softmax entries (-inf inputs) are structural zeros: their output is
-exactly 0 and no gradient flows through them, which is the limit of the
-finite-mask case.
+Masked ``softmax_lastdim`` entries (-inf inputs) are structural zeros:
+their output is exactly 0 and no gradient flows through them, which is
+the limit of the finite-mask case.
 
 :func:`finite_diff_grad` is the independent oracle used to verify every
 rule here; it never touches the tape.
@@ -61,7 +61,7 @@ def _matmul_vjp(g, out, arrays):
     return np.matmul(g, b.swapaxes(-1, -2)), np.matmul(a.swapaxes(-1, -2), g)
 
 
-def _masked_softmax_vjp(g, y, arrays, mask, c):
+def _softmax_vjp(g, y, arrays, mask=None, c=1.0):
     # y is exactly 0 at masked inputs, so those entries get zero grad
     inner = np.sum(g * y, axis=-1, keepdims=True)
     return (y * (g - inner) * c,)
@@ -116,7 +116,7 @@ SEQUENCE = "sequence"  # the node inputs are one list of nodes, the first argume
 VJPS = {
     "matmul_batched": (2, _matmul_vjp),
     "transpose_last2": (1, lambda g, out, arrays: (g.swapaxes(-1, -2),)),
-    "masked_softmax": (1, _masked_softmax_vjp),
+    "softmax_lastdim": (1, _softmax_vjp),
     "add": (2, lambda g, out, arrays: (g, g)),
     "affine": (3, _affine_vjp),
     "row_blocks": (1, _row_blocks_vjp),

@@ -169,24 +169,31 @@ def bench_records(n_list, mechanisms, l_rule, repeats, d_model, seed):
     The process is warmed up for ``WARMUP_SECONDS`` first. Each cell is a
     single attention forward on seeded operands, timed as the median of
     ``repeats`` runs after one more untimed run. Counter columns come
-    from the deterministic element accounting, not the clock.
+    from the deterministic element accounting, not the clock. A cell
+    estimated above ``MEM_LIMIT_BYTES`` is skipped, and an n's operands
+    are drawn only when one of its cells fits.
     """
     windows = [resolve_band(l_rule, n) for n in n_list]
     _warm_up()
     records = []
     skipped = []
     for n, window in zip(n_list, windows):
-        rng = np.random.default_rng(seed + n)
-        q = Tensor._wrap(rng.normal(size=(n, d_model)))
-        k = Tensor._wrap(rng.normal(size=(n, d_model)))
-        v = Tensor._wrap(rng.normal(size=(n, d_model)))
+        fits = []
         for mechanism in mechanisms:
             need = _estimated_bytes(mechanism, n, window, d_model)
             if need > MEM_LIMIT_BYTES:
                 skipped.append(
                     (mechanism, n, window, f"estimated {need} bytes > {MEM_LIMIT_BYTES}")
                 )
-                continue
+            else:
+                fits.append(mechanism)
+        if not fits:
+            continue
+        rng = np.random.default_rng(seed + n)
+        q = Tensor._wrap(rng.normal(size=(n, d_model)))
+        k = Tensor._wrap(rng.normal(size=(n, d_model)))
+        v = Tensor._wrap(rng.normal(size=(n, d_model)))
+        for mechanism in fits:
             try:
                 dots, peak = _run_mechanism(mechanism, q, k, v, window)
                 times = []
@@ -270,8 +277,8 @@ def cmd_bench(args) -> int:
 
 
 def parse_config(path: str) -> dict:
-    """Flat key=value config; unknown keys are an error naming the key."""
-    values = {}
+    """Flat key=value config; an unknown or repeated key is an error naming the key."""
+    values, first_line = {}, {}
     try:
         with open(path) as handle:
             lines = handle.readlines()
@@ -286,6 +293,10 @@ def parse_config(path: str) -> dict:
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key not in CONFIG_KEYS:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in first_line:
+            raise ValueError(f"{path}:{lineno}: repeated config key {key!r} "
+                             f"(first at line {first_line[key]})")
+        first_line[key] = lineno
         cast = CONFIG_KEYS[key][1]
         try:
             values[key] = cast(raw)

@@ -187,9 +187,15 @@ class Scaler:
 
     @classmethod
     def fit(cls, values: np.ndarray) -> "Scaler":
-        mean = values.mean(axis=0)
-        std = values.std(axis=0)
-        for index, s in enumerate(std):
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the error below
+            mean = values.mean(axis=0)
+            std = values.std(axis=0)
+        for index, (mu, s) in enumerate(zip(mean, std)):
+            if not (math.isfinite(mu) and math.isfinite(s)):
+                raise ValueError(
+                    f"feature {index} has mean {mu} and deviation {s} in the fit region, "
+                    "not both finite; rescale it before windowing"
+                )
             if s == 0.0:
                 raise ValueError(
                     f"feature {index} has zero variance in the fit region; "

@@ -22,7 +22,7 @@ the seeded fault used by the masking tests). Every later block shares one
 band, so the mask holds at most two blocks, O(window^2) at any n. It is
 a :class:`~localattn.tensor.BandMask`: every query row sees at most
 ``window`` consecutive slab columns, and -inf fills the rest, so
-``masked_softmax`` masks, scales and normalizes only those band columns,
+``softmax_lastdim`` masks, scales and normalizes only those band columns,
 bitwise equal to the dense softmax, and only scales a chunk of blocks
 that takes the shared band alone, which is zero on its band. Rows past
 s*window (when window does not divide n) run as one direct masked slab:
@@ -111,7 +111,7 @@ def local_mask(s: int, window: int, pad_guard: bool = True) -> BandMask:
     (the band in slab coordinates) and, for block 0, j1 >= window-1 so the
     zero-padded key rows stay unreachable. Only the distinct blocks are
     stored: block 0, then the band blocks 1 .. s-1 share, so the result
-    holds min(s, 2) blocks and ``masked_softmax`` applies the last one to
+    holds min(s, 2) blocks and ``softmax_lastdim`` applies the last one to
     every later score block. ``pad_guard=False`` drops block 0's guard,
     leaving the one band block; it exists only to demonstrate the failure
     it causes. The mask is built once per (blocks, window, pad_guard), one

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 import zipfile
 import zlib
@@ -80,8 +81,10 @@ class ModelConfig:
 
     ``window`` only matters for kind="lam" and defaults to the
     4*ceil(log2 n) rule. Each head is d_model / heads wide, so heads
-    must divide d_model. The LeakyReLU slope and the position signal are
-    fixed: :data:`LEAKY_SLOPE`, and :func:`positional_encoding` always added.
+    must divide d_model. Every field but ``kind`` is a Python or numpy
+    integer, never a bool, and is stored as an int. The LeakyReLU slope
+    and the position signal are fixed: :data:`LEAKY_SLOPE`, and
+    :func:`positional_encoding` always added.
     """
 
     d_features: int
@@ -95,6 +98,13 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("d_features", "n", "m", "d_model", "num_layers", "heads", "window", "seed"):
+            value = getattr(self, name)
+            if name == "window" and value is None:
+                continue
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # a numpy integer is not JSON
         if self.d_features < 1:
             raise ValueError(f"d_features must be >= 1, got {self.d_features}")
         if not self.n >= self.m >= 1:

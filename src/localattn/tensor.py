@@ -7,11 +7,11 @@ pre-softmax scores; NaN is never legal and is rejected at construction.
 
 All public operations are pure: inputs are never mutated. Every batched
 matrix product runs through :func:`matmul_batched`, which counts dot
-products into a module-level counter. :func:`masked_softmax` fuses mask,
-scale and softmax; under a :class:`BandMask` (-inf outside each row's
-diagonal band) it normalizes the band only, in one pass, skipping the add
-where the mask is zero on its band, with weights bitwise equal to its
-dense path.
+products into a module-level counter. :func:`softmax_lastdim`, the one
+softmax, fuses mask, scale and softmax; under a :class:`BandMask` (-inf
+outside each row's diagonal band) it normalizes the band only, in one
+pass, skipping the add where the mask is zero on its band, with weights
+bitwise equal to its dense path.
 
 This module is also the eager ``ops`` backend: code written against the
 op vocabulary (the :data:`localattn.autodiff.VJPS` ops, ``constant`` and
@@ -37,7 +37,6 @@ __all__ = [
     "op_counter",
     "matmul_batched",
     "softmax_lastdim",
-    "masked_softmax",
     "gather_rows_padded",
     "row_blocks",
     "rows",
@@ -128,7 +127,7 @@ class BandMask(Tensor):
 
     Over its last two axes, R rows by C >= R columns, row i keeps at most
     columns i .. i+C-R: every entry outside them is -inf. Under such a
-    mask :func:`masked_softmax` normalizes the band alone. Build one with
+    mask :func:`softmax_lastdim` normalizes the band alone. Build one with
     :meth:`of`, which checks the band once.
     """
 
@@ -202,15 +201,6 @@ def _softmax_lastdim_inplace(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def softmax_lastdim(t: Tensor) -> Tensor:
-    """Row-stochastic softmax over the last axis.
-
-    Entries at -inf inputs are exactly 0; every row must contain at least
-    one finite entry or :class:`DegenerateRowError` is raised.
-    """
-    return Tensor._wrap(_softmax_lastdim_inplace(np.array(t.data)))
-
-
 def _check_mask(arr: np.ndarray, m: np.ndarray) -> None:
     """``m`` has the scores' shape, or holds 1 <= b <= s blocks of rank-3 scores of s blocks."""
     blocks = arr.ndim == m.ndim == 3 and m.shape[1:] == arr.shape[1:] and 1 <= len(m) <= len(arr)
@@ -236,7 +226,7 @@ def _band(arr: np.ndarray, width: int) -> np.ndarray:
 
 
 def _band_softmax(scores: np.ndarray, mask: np.ndarray, c: float) -> np.ndarray:
-    """:func:`masked_softmax` under a band mask, computed on the band only, in one pass.
+    """:func:`softmax_lastdim` under a band mask, computed on the band only, in one pass.
 
     The band is masked, scaled, shifted and exponentiated in a contiguous
     temporary and copied into the output's band; outside it the output
@@ -264,13 +254,14 @@ def _band_softmax(scores: np.ndarray, mask: np.ndarray, c: float) -> np.ndarray:
     return out
 
 
-def masked_softmax(scores: Tensor, mask: Tensor | None, c: float) -> Tensor:
+def softmax_lastdim(scores: Tensor, mask: Tensor | None = None, c: float = 1.0) -> Tensor:
     """softmax((scores + mask) * c) over the last axis, in one owned buffer.
 
-    ``mask`` is additive (0 keeps an entry, -inf drops it) or None. Against
-    rank-3 scores of s blocks a rank-3 mask may hold b <= s blocks: score
-    block r takes mask block min(r, b-1) (:func:`_add_mask`, the one add
-    rule), so a band most blocks share is stored once. ``c`` must be
+    The one softmax: with no mask and c = 1 it is the plain one (x * 1.0
+    is x). ``mask`` is additive (0 keeps an entry, -inf drops it) or None.
+    Against rank-3 scores of s blocks a rank-3 mask may hold b <= s blocks:
+    score block r takes mask block min(r, b-1) (:func:`_add_mask`, the one
+    add rule), so a band most blocks share is stored once. ``c`` must be
     positive and finite (a negative factor would turn -inf into +inf).
 
     Under a :class:`BandMask` the scores are masked, scaled, exponentiated

@@ -182,12 +182,15 @@ def suite_masking(trials: int = 25, seed: int = 0) -> SuiteResult:
     Checked on the n x n banded matrix and on every weight tensor the
     blocked kernel produces as it runs (its score blocks and its
     trailing-row slab), each against the mask it was normalized under.
+    A case that records fewer weight tensors than those softmax calls
+    fails the suite, so a probe that stops seeing them cannot pass.
     """
     name = "masking"
     _check_count("trials", trials)
     rng = np.random.default_rng(seed)
     worst_sum = 0.0
     nonzero_masked = 0
+    recorded = short = 0
     for _ in range(trials):
         n = int(rng.integers(2, 65))
         window = int(rng.integers(1, n + 1))
@@ -197,19 +200,23 @@ def suite_masking(trials: int = 25, seed: int = 0) -> SuiteResult:
 
         probe = _PreActProbe()
         scores = tensor.matmul_batched(q, tensor.transpose_last2(k))
-        probe.masked_softmax(scores, band_mask(n, window), 1.0 / math.sqrt(d_q))
+        probe.softmax_lastdim(scores, band_mask(n, window), 1.0 / math.sqrt(d_q))
         _lam_attention(probe, q, k, q, window)  # the weights do not depend on v
+        recorded += len(probe.softmaxes)
+        short += len(probe.softmaxes) < 2 + (n % window > 0)  # n x n, blocks, trailing slab
         for weights, mask in probe.softmaxes:
             w = weights.data
             worst_sum = max(worst_sum, float(np.abs(w.sum(axis=-1) - 1.0).max()))
             dropped = np.isneginf(tensor._add_mask(np.zeros_like(w), mask.data, np.empty(w.shape)))
             nonzero_masked += int(np.count_nonzero(w[dropped]))
 
-    passed = worst_sum <= _TOL_ROWSUM and nonzero_masked == 0
+    passed = worst_sum <= _TOL_ROWSUM and nonzero_masked == 0 and short == 0
     detail = (
-        f"{trials} cases, worst |rowsum-1| = {worst_sum:.3e} (tol {_TOL_ROWSUM:.0e}), "
-        f"nonzero masked slots = {nonzero_masked}"
+        f"{trials} cases, {recorded} weight tensors, worst |rowsum-1| = {worst_sum:.3e} "
+        f"(tol {_TOL_ROWSUM:.0e}), nonzero masked slots = {nonzero_masked}"
     )
+    if short:
+        detail += f", {short} cases recorded fewer weight tensors than softmax calls"
     return SuiteResult(name, passed, detail)
 
 
@@ -299,7 +306,7 @@ def _op_cases(rng):
 
     def attend(g, q):  # softmax(q k^T / sqrt(d)) v, gradients through q
         scores = g.matmul_batched(q, g.transpose_last2(g.constant(keys)))
-        weights = g.masked_softmax(scores, None, 1.0 / math.sqrt(3.0))
+        weights = g.softmax_lastdim(scores, None, 1.0 / math.sqrt(3.0))
         return g.matmul_batched(weights, g.constant(values))
 
     return {
@@ -309,19 +316,19 @@ def _op_cases(rng):
             ("matmul-left-2d", m23, lambda g, x: g.matmul_batched(x, g.constant(m34))),
             ("matmul-right-2d", m34, lambda g, x: g.matmul_batched(g.constant(m23), x)),
         ],
-        "masked_softmax": [
-            ("masked-softmax", sm_in, lambda g, x: g.masked_softmax(x, mask, 0.7)),
+        "softmax_lastdim": [
+            ("masked-softmax", sm_in, lambda g, x: g.softmax_lastdim(x, mask, 0.7)),
             (
                 "masked-softmax-2-blocks",
                 sm_blocks,
-                lambda g, x: g.masked_softmax(x, block_mask, 0.7),
+                lambda g, x: g.softmax_lastdim(x, block_mask, 0.7),
             ),
             (
                 "masked-softmax-1-block",
                 sm_blocks,
-                lambda g, x: g.masked_softmax(x, Tensor._wrap(block_mask.data[1:]), 0.7),
+                lambda g, x: g.softmax_lastdim(x, Tensor._wrap(block_mask.data[1:]), 0.7),
             ),
-            ("masked-softmax-unmasked", sm_in, lambda g, x: g.masked_softmax(x, None, 1.7)),
+            ("masked-softmax-unmasked", sm_in, lambda g, x: g.softmax_lastdim(x, None, 1.7)),
         ],
         "affine": [
             ("affine-x", m34, lambda g, x: g.affine(x, g.constant(w), g.constant(bias), 0.01)),
@@ -384,8 +391,8 @@ class _PreActProbe:
         self.min_abs_pre = math.inf
         self.softmaxes = []  # (weights, mask) of each call, in call order
 
-    def masked_softmax(self, scores, mask, c):
-        weights = tensor.masked_softmax(scores, mask, c)
+    def softmax_lastdim(self, scores, mask=None, c=1.0):
+        weights = tensor.softmax_lastdim(scores, mask, c)
         self.softmaxes.append((weights, mask))
         return weights
 

@@ -164,7 +164,7 @@ class TestChunkedCore:
         g = Graph()
         _full_attention(g, g.parameter(q), g.parameter(k), g.parameter(v), band_mask(5, 2))
         assert [n.op for n in g.nodes if n.op not in ("parameter", "constant")] == [
-            "transpose_last2", "matmul_batched", "masked_softmax", "matmul_batched"]
+            "transpose_last2", "matmul_batched", "softmax_lastdim", "matmul_batched"]
 
     def test_chunk_mask_keeps_class_and_takes_the_covering_blocks(self):
         band = local_mask(5, 3)  # block 0 guarded, block 1 shared by every later block

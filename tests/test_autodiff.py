@@ -80,7 +80,7 @@ class TestBackwardExamples:
         g = Graph()
         x = g.parameter(Tensor([[2.0, 1.0]]))
         mask = Tensor([[0.0, NEG_INF]], allow_neg_inf=True)
-        s = g.masked_softmax(x, mask, 1.0)
+        s = g.softmax_lastdim(x, mask, 1.0)
         loss = g.mse(s, Tensor([[0.0, 0.0]]))
         grads = g.backward(loss)
         # output row is constant [1, 0] regardless of x: all grads vanish
@@ -90,7 +90,7 @@ class TestBackwardExamples:
         g = Graph()
         x = g.parameter(Tensor([[1.0, 2.0]]))
         with pytest.raises(GraphContractError):
-            g.backward(g.masked_softmax(x, None, 1.0))
+            g.backward(g.softmax_lastdim(x, None, 1.0))
 
     def test_parameter_off_the_loss_path_gets_zero(self):
         g = Graph()
@@ -196,7 +196,7 @@ class TestPerOpGradients:
         assert_op_gradients("add")
 
     def test_scale(self):
-        """Gradient through masked_softmax's scale factor (positive by contract)."""
+        """Gradient through softmax_lastdim's scale factor (positive by contract)."""
         assert_op_gradients("masked-softmax-unmasked", "attention-chain")
 
     def test_transpose(self):

@@ -105,6 +105,16 @@ class TestBenchCommand:
         assert len(empty[0].split(",")) == 8  # schema kept, cells empty
         assert "skipped full at n=512" in capsys.readouterr().out
 
+    def test_no_operands_are_drawn_when_no_cell_fits(self, capsys, monkeypatch):
+        """Every cell is estimated before an n's operands are drawn, so none are when all skip."""
+        monkeypatch.setattr(cli, "MEM_LIMIT_BYTES", 1000)
+        monkeypatch.setattr(cli, "_warm_up", lambda: None)
+        monkeypatch.setattr(np.random, "default_rng", lambda *a: pytest.fail("operands drawn"))
+        assert main(["bench", "--n-list", "2,3", "--mechanisms", "full,lam", "--d-model", "64"]) == 0
+        out = capsys.readouterr().out
+        for cell in ("full at n=2", "lam at n=2", "full at n=3", "lam at n=3"):
+            assert f"skipped {cell}: estimated" in out
+
     @pytest.mark.parametrize("n", [4096, 20000])
     def test_lam_estimate_covers_the_traced_peak(self, n):
         """The guard's lam estimate is at least what one forward allocates, operands included."""
@@ -534,8 +544,8 @@ class TestMainPlumbing:
         "data-is-a-directory", "input-is-a-directory", "non-utf8-csv", "oversized-csv-field",
         "blank-first-csv-row", "lr=nan", "lr=0", "epochs=-1", "batch=0", "h=0",
         "bandmass-heads=0", "forecast-header", "forecast-non-finite", "forecast-far-cell",
-        "forecast-overflowing-checkpoint", "no-validation-windows",
-        "out-bandmass", "out-bench", "out-forecast", "out-train-file", "out-train-too-long",
+        "forecast-overflowing-checkpoint", "forecast-window=8.0", "no-validation-windows",
+        "repeated-config-key", "train-overflowing-feature", "out-bandmass", "out-bench", "out-forecast", "out-train-file", "out-train-too-long",
         *FLAG_CASES,
     ])
     def test_bad_input_exits_2_with_one_error_line(self, tmp_path, capsys, monkeypatch, case):
@@ -598,6 +608,20 @@ class TestMainPlumbing:
             arrays["time.w"] = np.full_like(arrays["time.w"], np.finfo(np.float64).max)
             np.savez(ckpt, **arrays)
             argv = ["forecast", "--checkpoint", ckpt, "--input", data, "--out", str(out)]
+        elif case == "forecast-window=8.0":  # ModelConfig checks the type, not only the range
+            culprit = "window must be an integer, got 8.0"
+            ckpt, data, _ = forecast_fixture(tmp_path)
+            edit_manifest(ckpt, lambda manifest: manifest["config"].update(window=8.0))
+            argv = ["forecast", "--checkpoint", ckpt, "--input", data, "--out", str(out)]
+        elif case == "repeated-config-key":  # kind is line 1, n line 2
+            culprit = "repeated config key 'n' (first at line 2)"
+            with open(argv[2], "a") as handle:
+                handle.write("n=8\n")
+        elif case == "train-overflowing-feature":  # its deviation overflows float64
+            culprit = "feature 1 has mean"
+            values = synth_series("sines", 400, d=2, seed=1).values.copy()
+            values[:, 1] = 1e199 * (2.0 + values[:, 1])
+            argv += ["--data", write_csv(tmp_path / "huge.csv", values, ["a", "b"])]
         elif case in self.FLAG_CASES:
             culprit, argv = self.FLAG_CASES[case], case.split()
             if argv[0] == "bench":

@@ -200,6 +200,13 @@ class TestScaler:
         assert np.max(np.abs(z.mean(axis=0))) <= 1e-9
         assert np.max(np.abs(z.std(axis=0) - 1.0)) <= 1e-9
 
+    @pytest.mark.parametrize("scale", [1e199, 1e308])  # the deviation overflows; then the mean too
+    def test_non_finite_statistics_rejected_with_index(self, scale):
+        values = np.random.default_rng(3).normal(size=(50, 3))
+        values[:, 2] = scale * (1.5 + 0.1 * values[:, 2])
+        with pytest.raises(ValueError, match="feature 2 has mean .* not both finite"):
+            Scaler.fit(values)
+
     def test_zero_variance_rejected_with_index(self):
         values = np.random.default_rng(2).normal(size=(50, 3))
         values[:, 1] = 7.0

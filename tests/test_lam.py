@@ -17,6 +17,7 @@ from localattn.lam import score_counts
 import localattn.tensor as tensor
 from localattn.tensor import DimensionError, Tensor, row_blocks
 from localattn.verify import _TOL_GRAD, _check_op, run_all, suite_counting, suite_gradients
+import localattn.verify as verify
 from localattn.verify import suite_masking
 from localattn.verify import suite_oracle_equivalence
 
@@ -390,7 +391,7 @@ class TestKernel:
 
 
 class TestBandPath:
-    """The kernel through masked_softmax's band path keeps the verify guarantees."""
+    """The kernel through softmax_lastdim's band path keeps the verify guarantees."""
 
     @staticmethod
     def count_band_calls(monkeypatch):
@@ -429,6 +430,26 @@ class TestBandPath:
             assert np.max(np.abs(out[lo:hi] - want)) <= 1e-10
 
 
+@pytest.mark.parametrize("mutant", ["stale-hook-name", "kernel-bypasses-probe"])
+def test_masking_suite_fails_when_weights_go_unrecorded(monkeypatch, mutant):
+    """A case that records fewer weight tensors than its softmax calls fails the suite.
+
+    Under a stale hook name the probe's attribute fallback runs the plain op
+    and records nothing; a kernel run off the probe records only the n x n check.
+    """
+    if mutant == "stale-hook-name":
+        hook = verify._PreActProbe.softmax_lastdim
+        monkeypatch.delattr(verify._PreActProbe, "softmax_lastdim")
+        monkeypatch.setattr(verify._PreActProbe, "masked_softmax", hook, raising=False)
+    else:
+        monkeypatch.setattr(verify, "_lam_attention", lambda ops, *a: _lam_attention(tensor, *a))
+    result = suite_masking(5)
+    recorded = 0 if mutant == "stale-hook-name" else 5
+    assert not result.passed
+    assert f"5 cases, {recorded} weight tensors" in result.detail
+    assert "5 cases recorded fewer weight tensors than softmax calls" in result.detail
+
+
 class TestChunkedKernel:
     """The kernel with the core's score budget small enough to split a call into chunks of blocks."""
 
@@ -461,7 +482,7 @@ class TestChunkedKernel:
 
         g = Graph()
         build(g, g.parameter(qkv[wrt]))
-        assert sum(node.op == "masked_softmax" for node in g.nodes) == 3  # two chunks, one slab
+        assert sum(node.op == "softmax_lastdim" for node in g.nodes) == 3  # two chunks, one slab
         assert _check_op(qkv[wrt], build) <= _TOL_GRAD
 
     def test_long_call_never_holds_the_whole_weights(self):

@@ -90,6 +90,12 @@ class TestModelConfig:
         cfg = tiny_config(window=3)
         assert cfg.window == 3
 
+    def test_numpy_integers_accepted_as_ints(self, tmp_path):
+        cfg = tiny_config(n=np.int64(8), window=np.int32(3), seed=np.uint8(1))
+        assert [(v, type(v)) for v in (cfg.n, cfg.window, cfg.seed)] == [(8, int), (3, int), (1, int)]
+        loaded, _, _ = load_checkpoint(save_plain(ForecastModel(cfg), str(tmp_path / "m.npz")))
+        assert loaded.config == cfg
+
     @pytest.mark.parametrize(
         "overrides",
         [
@@ -104,6 +110,7 @@ class TestModelConfig:
             dict(d_model=0),
             dict(window=0),
             dict(window=9),
+            dict(window=8.0),
         ],
     )
     def test_rejects_bad_geometry(self, overrides):
@@ -465,6 +472,14 @@ CORRUPT_CHECKPOINTS = {
     "heads=0": (
         lambda p: rewrite_manifest(p, lambda m: m["config"].update(heads=0)),
         "config is invalid.*heads=0",
+    ),
+    "window=8.0": (
+        lambda p: rewrite_manifest(p, lambda m: m["config"].update(window=8.0)),
+        "config is invalid.*window must be an integer, got 8.0",
+    ),
+    "window=true": (
+        lambda p: rewrite_manifest(p, lambda m: m["config"].update(window=True)),
+        "config is invalid.*window must be an integer, got True",
     ),
     "version": (
         lambda p: rewrite_manifest(p, lambda m: m.update(version=CHECKPOINT_VERSION + 1)),

@@ -22,7 +22,6 @@ from localattn.tensor import (
     concat_lastdim,
     gather_rows_padded,
     leaky_relu,
-    masked_softmax,
     matmul_batched,
     op_counter,
     reshape,
@@ -218,7 +217,7 @@ class TestMaskedSoftmax:
             if len(shape) == 3:  # the last mask block covers every later score block
                 per_block = per_block[np.minimum(np.arange(shape[0]), blocks - 1)]
             chain = scale(add(scores, Tensor(per_block, allow_neg_inf=True)), c)
-        got = masked_softmax(scores, mask, c)
+        got = softmax_lastdim(scores, mask, c)
         assert_array_equal(got.data, softmax_lastdim(chain).data)
         assert_array_equal(scores.data, before)
 
@@ -245,7 +244,7 @@ class TestMaskedSoftmax:
         else:
             mask = None if mask_shape is None else Tensor(np.zeros(mask_shape))
         with pytest.raises(error) as info:
-            masked_softmax(scores, mask, c)
+            softmax_lastdim(scores, mask, c)
         assert type(info.value) is error
 
     @given(st.data())
@@ -270,12 +269,12 @@ class TestMaskedSoftmax:
         x = (scores + expanded) * c
         e = np.exp(x - x.max(axis=-1, keepdims=True))
         want = e / e.sum(axis=-1, keepdims=True)
-        got = masked_softmax(Tensor._wrap(scores), Tensor._wrap(mask), c)
+        got = softmax_lastdim(Tensor._wrap(scores), Tensor._wrap(mask), c)
         assert got.data.tobytes() == want.tobytes()
 
 
 class TestBandMask:
-    """Under a BandMask, masked_softmax's band path equals the dense path bitwise."""
+    """Under a BandMask, softmax_lastdim's band path equals the dense path bitwise."""
 
     @staticmethod
     def with_holes(rng, mask, s):
@@ -321,12 +320,12 @@ class TestBandMask:
             scores = Tensor._wrap(self.signed_zeros_and_ties(rng, shape))
         else:
             scores = Tensor._wrap(3.0 * rng.standard_normal(shape))
-        dense = masked_softmax(scores, Tensor._wrap(mask.data), c).data
-        assert masked_softmax(scores, mask, c).data.tobytes() == dense.tobytes()
+        dense = softmax_lastdim(scores, Tensor._wrap(mask.data), c).data
+        assert softmax_lastdim(scores, mask, c).data.tobytes() == dense.tobytes()
         # a chunk of blocks as the attention core passes it: a rows view and its mask blocks
         g0 = data.draw(st.integers(0, s - 1), label="g0")
         g1 = data.draw(st.integers(g0 + 1, s), label="g1")
-        part = masked_softmax(rows(scores, g0, g1), _chunk_mask(mask, g0, g1), c)
+        part = softmax_lastdim(rows(scores, g0, g1), _chunk_mask(mask, g0, g1), c)
         assert part.data.tobytes() == dense[g0:g1].tobytes()
 
     @pytest.mark.parametrize("kind, starts", [
@@ -344,12 +343,12 @@ class TestBandMask:
         elif kind == "offsets":
             mask = self.with_offsets(rng, mask)
         scores = Tensor._wrap(self.signed_zeros_and_ties(rng, (5, *mask.shape[1:])))
-        dense = masked_softmax(scores, Tensor._wrap(mask.data), 0.5).data
+        dense = softmax_lastdim(scores, Tensor._wrap(mask.data), 0.5).data
         calls, added = [], []
         add_mask = tensor_mod._add_mask
         monkeypatch.setattr(tensor_mod, "_add_mask", lambda *a: calls.append(a) or add_mask(*a))
         for g0, g1 in [(0, 2), (2, 4), (4, 5)]:  # the core's chunks of 2 blocks, one call each
-            part = masked_softmax(rows(scores, g0, g1), _chunk_mask(mask, g0, g1), 0.5)
+            part = softmax_lastdim(rows(scores, g0, g1), _chunk_mask(mask, g0, g1), 0.5)
             assert part.data.tobytes() == dense[g0:g1].tobytes()
             if calls:
                 added.append(g0)
@@ -362,7 +361,7 @@ class TestBandMask:
         scores = Tensor._wrap(np.random.default_rng(0).standard_normal((2000, 8, 15)))
         tracemalloc.start()
         try:
-            out = masked_softmax(scores, mask, 1.0)
+            out = softmax_lastdim(scores, mask, 1.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -376,7 +375,7 @@ class TestBandMask:
         arr[1, 2] = NEG_INF  # block 1 and every later one: row 2 keeps nothing
         mask = BandMask.of(arr) if path == "band" else Tensor(arr, allow_neg_inf=True)
         with pytest.raises(DegenerateRowError):
-            masked_softmax(Tensor(np.ones((3, 4, 7))), mask, 1.0)
+            softmax_lastdim(Tensor(np.ones((3, 4, 7))), mask, 1.0)
 
     def test_any_layout_equals_the_dense_path_bitwise(self):
         """Scores and mask sources that are not row-major take the band path and match the dense path."""
@@ -387,9 +386,9 @@ class TestBandMask:
         from_mixed = BandMask.of(mixed)
         scores = rng.standard_normal((12, 3, 5))
         for arr in (np.asfortranarray(scores[:6]), scores[::2]):
-            dense = masked_softmax(Tensor._wrap(arr), Tensor._wrap(mask.data), 0.7).data
+            dense = softmax_lastdim(Tensor._wrap(arr), Tensor._wrap(mask.data), 0.7).data
             for band_mask in (mask, from_mixed):
-                band = masked_softmax(Tensor._wrap(arr), band_mask, 0.7).data
+                band = softmax_lastdim(Tensor._wrap(arr), band_mask, 0.7).data
                 assert band.tobytes() == dense.tobytes()
 
     def test_of_rejects_a_finite_entry_outside_the_band(self):

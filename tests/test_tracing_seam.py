@@ -53,6 +53,7 @@ def test_traced_model_workload_gives_a_strict_json_result(tracing, name):
     json.dumps(result, allow_nan=False)  # a NaN metric would not be a result
     metrics = {key: entry["value"] for key, entry in result["metrics"].items()}
     assert result["correct"] and result["failed"] == 0
+    assert metrics["tensor.softmax_ms"] > 0  # the tracer wraps the one softmax op
     if name == "kernel_long":  # lam_forward alone: no model, no attention blocks
         assert metrics["lam.calls_per_window"] == 1
         return
