@@ -148,8 +148,12 @@ def _full_attention(ops, q, k, v, mask: Tensor | None = None, counters=None):
     G = max(1, _SCORE_CHUNK // (rows * cols)) blocks at a time, joined by
     one ``concat_axis0``, so one chunk of weights (and, under a
     ``BandMask``, one band temporary of at most that size) is alive at
-    once. This is the attention core's only chunk loop: ``softmax_lastdim``
-    takes each chunk in one pass. No chunk needs another's softmax state,
+    once. An eager call drops its key operand once the scores exist and
+    joins the chunk outputs only after dropping the scores, so the kernel's
+    key slab copy is gone before the chunk loop and the scores and the
+    joined output are never alive together. This is the attention core's
+    only chunk loop: ``softmax_lastdim`` takes each chunk in one pass.
+    No chunk needs another's softmax state,
     so the output is bitwise the one-chunk output, and smaller calls
     (every rank-2 one) run the one-chunk op sequence. On the tape each chunk's ``rows`` VJP
     zero-fills a scores-sized gradient; no workload records a call above
@@ -158,6 +162,7 @@ def _full_attention(ops, q, k, v, mask: Tensor | None = None, counters=None):
     done. Bitwise equal to :func:`full_attention`.
     """
     scores = ops.matmul_batched(q, ops.transpose_last2(k))
+    del k  # eagerly, this frees the kernel's key slab copy
     shape, size = ops.value(scores).shape, ops.value(scores).size
     if counters is not None:
         counters.dot_products += size
@@ -169,13 +174,15 @@ def _full_attention(ops, q, k, v, mask: Tensor | None = None, counters=None):
     else:
         spans = [(g0, min(g0 + step, s)) for g0 in range(0, s, step)]
         # one expression per chunk, so a chunk's weights are freed before the next is made
-        out = ops.concat_axis0([
+        outs = [
             ops.matmul_batched(
                 ops.softmax_lastdim(ops.rows(scores, g0, g1), _chunk_mask(mask, g0, g1), c),
                 ops.rows(v, g0, g1),
             )
             for g0, g1 in spans
-        ])
+        ]
+        del scores  # eagerly, the scores are freed before the join
+        out = ops.concat_axis0(outs)
     if counters is not None:
         counters.score_free(size)
     return out

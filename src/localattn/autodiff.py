@@ -4,11 +4,13 @@ A :class:`Graph` exposes the same operation vocabulary as the eager
 backend, the :mod:`localattn.tensor` module itself, so any kernel written
 against that interface can be recorded and differentiated without a
 second implementation. Each differentiable op, the ``mse`` loss too, is
-one row of :data:`VJPS`; one recorder makes every row a ``Graph`` method
-that runs the eager ``tensor`` function of that name and stores its
-output and static arguments. Backward walks the tape (topological by
-construction) in reverse, reading each input from its node and each
-VJP rule from the table, accumulating vector-Jacobian products.
+one row of :data:`VJPS`; a recorder built for the row's arity (one node
+input, two, a ``SEQUENCE`` of nodes, or any other count) makes every row
+a ``Graph`` method that looks up the eager ``tensor`` function of that
+name at each call, runs it and stores its output and static arguments.
+Backward walks the tape (topological by construction) in reverse,
+fetching each input node once and reading each VJP rule from the table
+when it runs, accumulating vector-Jacobian products.
 
 Masked ``softmax_lastdim`` entries (-inf inputs) are structural zeros:
 their output is exactly 0 and no gradient flows through them, which is
@@ -62,9 +64,14 @@ def _matmul_vjp(g, out, arrays):
 
 
 def _softmax_vjp(g, y, arrays, mask=None, c=1.0):
-    # y is exactly 0 at masked inputs, so those entries get zero grad
-    inner = np.sum(g * y, axis=-1, keepdims=True)
-    return (y * (g - inner) * c,)
+    # y is exactly 0 at masked inputs, so those entries get zero grad;
+    # y * (g - inner) * c, evaluated in the one owned temporary g * y
+    t = g * y
+    inner = t.sum(axis=-1, keepdims=True)
+    np.subtract(g, inner, out=t)
+    np.multiply(y, t, out=t)
+    t *= c
+    return (t,)
 
 
 def _affine_vjp(g, out, arrays, alpha=None):
@@ -80,8 +87,9 @@ def _row_blocks_vjp(g, out, arrays, window, width):
     (n, d), s, lead = arrays[0].shape, out.shape[0], width - window
     gm = np.zeros((n, d), dtype=g.dtype)
     gm[: s * window] = g[:, lead:].reshape(s * window, d)
-    prev = gm[: (s - 1) * window].reshape(s - 1, window, d)
-    prev[:, window - lead :] += g[1:, :lead]
+    if lead:
+        prev = gm[: (s - 1) * window].reshape(s - 1, window, d)
+        prev[:, window - lead :] += g[1:, :lead]
     return (gm,)
 
 
@@ -137,18 +145,19 @@ class Graph:
     def __init__(self):
         self.nodes: list[Node] = []
 
-    def _record(self, op: str, inputs, value: Tensor, static=()) -> Node:
-        node = Node(len(self.nodes), op, tuple([n.id for n in inputs]), value, static)
-        self.nodes.append(node)
+    def _append(self, op: str, inputs: tuple[int, ...], value: Tensor, static=()) -> Node:
+        nodes = self.nodes
+        node = Node(len(nodes), op, inputs, value, static)
+        nodes.append(node)
         return node
 
     # -- leaves ----------------------------------------------------------
 
     def parameter(self, t: Tensor) -> Node:
-        return self._record("parameter", (), t)
+        return self._append("parameter", (), t)
 
     def constant(self, t: Tensor) -> Node:
-        return self._record("constant", (), t)
+        return self._append("constant", (), t)
 
     def value(self, node: Node) -> Tensor:
         return node.value
@@ -174,21 +183,34 @@ class Graph:
         owned = set()
         nodes = self.nodes
         for node in reversed(nodes[: loss.id + 1]):
-            if node.grad is None or node.op not in VJPS:
+            if node.grad is None or (row := VJPS.get(node.op)) is None:
                 continue
-            arrays = [nodes[i].value.data for i in node.inputs]
-            vjps = VJPS[node.op][1](node.grad, node.value.data, arrays, *node.static)
-            for input_id, g in zip(node.inputs, vjps):
-                src = nodes[input_id]
+            rule, ids = row[1], node.inputs
+            if len(ids) == 1:  # most nodes: fetch the one input node once, no pairing
+                src = nodes[ids[0]]
+                g = rule(node.grad, node.value.data, (src.value.data,), *node.static)[0]
                 if src.op == "constant":
                     continue
                 if src.grad is None:
                     src.grad = g
-                elif input_id in owned:
+                elif src.id in owned:
                     src.grad += g
                 else:
                     src.grad = src.grad + g
-                    owned.add(input_id)
+                    owned.add(src.id)
+                continue
+            srcs = [nodes[i] for i in ids]
+            vjps = rule(node.grad, node.value.data, [s.value.data for s in srcs], *node.static)
+            for src, g in zip(srcs, vjps):  # the same rule as above, per input
+                if src.op == "constant":
+                    continue
+                if src.grad is None:
+                    src.grad = g
+                elif src.id in owned:
+                    src.grad += g
+                else:
+                    src.grad = src.grad + g
+                    owned.add(src.id)
         return {
             n.id: Tensor._wrap(n.grad if n.grad is not None else np.zeros_like(n.value.data))
             for n in self.nodes
@@ -199,18 +221,28 @@ class Graph:
 def _recorder(name: str, arity: int | str) -> Callable[..., Node]:
     """The Graph method of table op ``name``: its eager forward, then one tape record.
 
-    The forward is looked up as ``tensor.<name>`` at every call, so a
-    wrapper installed on the module attribute sees each taped op too.
+    The method is built for the op's arity (one input, two, ``SEQUENCE``
+    or any other count), so a call builds no argument list. The forward
+    is looked up as ``tensor.<name>`` at every call, never bound early, so
+    a wrapper installed on the module attribute sees each taped op too.
     """
-
-    def record(self: Graph, *args) -> Node:
-        if arity is SEQUENCE:
-            nodes, static = tuple(args[0]), args[1:]
-            out = getattr(T, name)([n.value for n in nodes], *static)
-        else:
+    if arity == 1:
+        def record(self: Graph, a: Node, *static) -> Node:
+            return self._append(name, (a.id,), getattr(T, name)(a.value, *static), static)
+    elif arity == 2:
+        def record(self: Graph, a: Node, b: Node, *static) -> Node:
+            out = getattr(T, name)(a.value, b.value, *static)
+            return self._append(name, (a.id, b.id), out, static)
+    elif arity is SEQUENCE:
+        def record(self: Graph, parts, *static) -> Node:
+            parts = tuple(parts)  # any iterable of nodes, read once
+            out = getattr(T, name)([n.value for n in parts], *static)
+            return self._append(name, tuple([n.id for n in parts]), out, static)
+    else:
+        def record(self: Graph, *args) -> Node:
             nodes, static = args[:arity], args[arity:]
             out = getattr(T, name)(*[n.value for n in nodes], *static)
-        return self._record(name, nodes, out, static)
+            return self._append(name, tuple([n.id for n in nodes]), out, static)
 
     record.__name__, record.__qualname__ = name, f"Graph.{name}"
     record.__doc__ = f"``tensor.{name}`` on the nodes' values, recorded for its VJP."

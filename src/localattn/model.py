@@ -291,15 +291,11 @@ def evaluate(model: ForecastModel, windows) -> tuple[float, float]:
 
 
 def _window_grads(model: ForecastModel, x: Tensor, y: Tensor):
+    """(gradients by parameter node id, parameter nodes by name, window MSE, window MAE)."""
     g = Graph()
     out, nodes = model.forward_graph(g, x)
     loss = g.mse(out, y)
-    grads = g.backward(loss)
-    return (
-        {name: grads[node.id].data for name, node in nodes.items()},
-        loss.value.item(),
-        mae(g.value(out), y),
-    )
+    return g.backward(loss), nodes, loss.value.item(), mae(g.value(out), y)
 
 
 def train(
@@ -349,7 +345,7 @@ def train(
             accum = {k: np.zeros_like(t.data) for k, t in model.params.items()}
             for idx in chunk:
                 x, y = dataset.train[idx]
-                grads, window_mse, window_mae = _window_grads(model, x, y)
+                grads, nodes, window_mse, window_mae = _window_grads(model, x, y)
                 if not math.isfinite(window_mse):
                     raise TrainDivergenceError(
                         f"non-finite loss at epoch {epoch}, window {int(idx)}",
@@ -357,8 +353,8 @@ def train(
                     )
                 epoch_se[idx] = window_mse
                 epoch_ae[idx] = window_mae
-                for name in accum:
-                    accum[name] += grads[name]
+                for name, node in nodes.items():
+                    accum[name] += grads[node.id].data
             steps += 1
             scale = 1.0 / len(chunk)
             correct1 = 1.0 - beta1**steps

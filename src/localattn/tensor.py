@@ -170,12 +170,12 @@ def matmul_batched(a: Tensor, b: Tensor) -> Tensor:
     Counts one dot product per output element into the module counter.
     """
     ash, bsh = a.data.shape, b.data.shape
-    if len(ash) != len(bsh) or len(ash) not in (2, 3):
-        raise DimensionError(f"matmul operands must both be rank 2 or both rank 3, "
-                             f"got {ash} vs {bsh}")
-    if ash[:-2] != bsh[:-2]:
-        raise DimensionError(f"batch extents disagree: {ash} vs {bsh}")
-    if ash[-1] != bsh[-2]:
+    if not (2 <= len(ash) == len(bsh) <= 3 and ash[:-2] == bsh[:-2] and ash[-1] == bsh[-2]):
+        if len(ash) != len(bsh) or len(ash) not in (2, 3):
+            raise DimensionError(f"matmul operands must both be rank 2 or both rank 3, "
+                                 f"got {ash} vs {bsh}")
+        if ash[:-2] != bsh[:-2]:
+            raise DimensionError(f"batch extents disagree: {ash} vs {bsh}")
         raise DimensionError(f"inner extents disagree: {ash} vs {bsh}")
     out = np.matmul(a.data, b.data)
     _COUNTER.dot_products += out.size
@@ -365,7 +365,10 @@ def concat_lastdim(parts: Sequence[Tensor]) -> Tensor:
 
 
 def _leaky(arr: np.ndarray, alpha: float) -> np.ndarray:
-    return np.where(arr >= 0, arr, alpha * arr)
+    # bitwise np.where(arr >= 0, arr, alpha * arr) for alpha > 0: rounded, alpha*x
+    # stays <= x for x >= 0 and >= x for x < 0 (the reverse for alpha > 1),
+    # and where the two are equal they share their sign, zeros included
+    return (np.maximum if alpha <= 1 else np.minimum)(arr, alpha * arr)
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor, alpha: float | None = None) -> Tensor:

@@ -10,8 +10,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from collections import Counter
+
 from localattn import tensor, verify
 from localattn.autodiff import SEQUENCE, VJPS, Graph, GraphContractError, finite_diff_grad
+from localattn.model import ForecastModel, ModelConfig
 from localattn.tensor import Tensor
 
 NEG_INF = float("-inf")
@@ -135,6 +138,38 @@ class TestBackwardExamples:
         g.backward(loss)
         assert seen == [(3, 2), (3, 2)]
 
+    def test_every_recorder_calls_the_tensor_attribute_at_call_time(self, monkeypatch):
+        """A wrapper set on ``tensor.<name>`` after import sees one call per recorded node.
+
+        ``verify``'s gradient cases record every table op (``row_blocks``,
+        ``rows`` and ``mse`` too); only outermost calls count, since
+        ``affine`` calls ``matmul_batched`` itself.
+        """
+        cases = [case for op_cases in verify._op_cases(np.random.default_rng(9)).values()
+                 for case in op_cases]
+        calls, depth = Counter(), [0]
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += depth[0] == 0
+                depth[0] += 1
+                try:
+                    return fn(*args)
+                finally:
+                    depth[0] -= 1
+
+            return wrapper
+
+        for name in VJPS:
+            monkeypatch.setattr(tensor, name, counted(name, getattr(tensor, name)))
+        recorded = Counter()
+        for _, x, build in cases:
+            g = Graph()
+            build(g, g.parameter(x))
+            recorded.update(node.op for node in g.nodes if node.op in VJPS)
+        assert set(recorded) == set(VJPS)
+        assert +calls == recorded
+
     def test_gradient_suite_fails_for_an_op_without_cases(self, monkeypatch):
         monkeypatch.setitem(VJPS, "uncovered_op", VJPS["reshape"])
         result = verify.suite_gradients(trials=1)
@@ -239,13 +274,19 @@ def reference_backward(graph, loss):
 
 
 def watch_vjps(monkeypatch):
-    """Wrap every VJP rule in the table to keep (array, copy) of its incoming and outgoing gradients."""
+    """Wrap every VJP rule in the table to keep (array, copy) of its incoming and outgoing gradients.
+
+    The incoming gradient is copied before the rule runs, so a rule that
+    writes into it is caught as well.
+    """
     seen = []
 
     def wrap(rule):
         def watched(g, *saved):
+            before = np.array(g)
             outs = rule(g, *saved)
-            seen.extend((a, np.array(a)) for a in (g, *outs))
+            seen.append((g, before))
+            seen.extend((a, np.array(a)) for a in outs)
             return outs
 
         return watched
@@ -308,6 +349,27 @@ class TestGradientOwnership:
         assert seen
         for arr, snapshot in seen:
             assert_array_equal(arr, snapshot)
+
+    @pytest.mark.parametrize("kind", ["lam", "full"])
+    def test_toy_model_tape_is_bitwise_the_reference_and_writes_no_saved_gradient(
+        self, kind, monkeypatch
+    ):
+        """Every op the toy model records, the in-place softmax VJP included."""
+        net = ForecastModel(ModelConfig(d_features=3, n=96, m=24, kind=kind, seed=4))
+        rng = np.random.default_rng(12)
+        x, y = Tensor(rng.standard_normal((96, 3))), Tensor(rng.standard_normal((24, 3)))
+        g = Graph()
+        out, _ = net.forward_graph(g, x)
+        loss = g.mse(out, y)
+        seen = watch_vjps(monkeypatch)
+        g.backward(loss)
+        assert "softmax_lastdim" in {node.op for node in g.nodes}
+        for arr, snapshot in seen:
+            assert arr.tobytes() == snapshot.tobytes()
+        want = reference_backward(g, loss)
+        for node in g.nodes:
+            if node.op != "constant":
+                assert node.grad.tobytes() == want[node.id].tobytes(), (node.id, node.op)
 
     @pytest.mark.parametrize("build", [build_self_add, build_diamond, build_shared_transpose])
     def test_bitwise_equal_to_copying_every_first_term(self, build):

@@ -502,6 +502,26 @@ class TestChunkedKernel:
         # holding the whole weights next to the scores would take about 2 * scores
         assert peak <= scores + buffers + operands < 2 * scores
 
+    def test_long_call_frees_the_key_slab_and_joins_after_the_scores(self):
+        n, d = 20000, 32
+        window, width = 60, 119
+        s, step = n // window, attention._SCORE_CHUNK // (window * width)
+        assert default_window(n) == window and -(-s // step) == 10  # ten core chunks
+        q, k, v = random_qkv(np.random.default_rng(33), n, d, d)
+        tracemalloc.start()
+        try:
+            lam_forward(q, k, v, window)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        scores = score_counts(n, window)[1] * 8
+        slab = (s * window + window - 1) * d * 8  # one zero-padded key or value copy
+        outputs = n * d * 8  # the chunk outputs, or their join
+        chunk = attention._SCORE_CHUNK * 8  # one chunk's weights or band temporary
+        # next to the scores: the value slab, the chunk outputs and one chunk's
+        # buffers; the key slab or the joined output there would each add n * d * 8
+        assert peak <= scores + slab + outputs + 2 * chunk
+
 
 class TestScoreCounts:
     @pytest.mark.parametrize("n, window, want", [

@@ -106,6 +106,19 @@ class TestMatmulBatched:
         with pytest.raises(DimensionError, match="both be rank 2 or both rank 3"):
             matmul_batched(Tensor(np.ones(a_shape)), Tensor(np.ones(b_shape)))
 
+    @pytest.mark.parametrize("a_shape, b_shape, message", [
+        ((3,), (3,), r"{rank} \(3,\) vs \(3,\)"),
+        ((), (), r"{rank} \(\) vs \(\)"),
+        ((2, 3), (3,), r"{rank} \(2, 3\) vs \(3,\)"),
+        ((2, 2, 2), (3, 2, 2), r"batch extents disagree: \(2, 2, 2\) vs \(3, 2, 2\)"),
+        ((1, 2), (1, 2), r"inner extents disagree: \(1, 2\) vs \(1, 2\)"),
+        ((2, 4, 3), (2, 4, 5), r"inner extents disagree: \(2, 4, 3\) vs \(2, 4, 5\)"),
+    ])
+    def test_each_shape_fault_keeps_its_message(self, a_shape, b_shape, message):
+        rank = "matmul operands must both be rank 2 or both rank 3, got"
+        with pytest.raises(DimensionError, match="^" + message.replace("{rank}", rank) + "$"):
+            matmul_batched(Tensor(np.ones(a_shape)), Tensor(np.ones(b_shape)))
+
     def test_counter_counts_s_p_r(self):
         before = op_counter().dot_products
         matmul_batched(Tensor(np.zeros((3, 4, 5))), Tensor(np.zeros((3, 5, 7))))
@@ -575,6 +588,16 @@ class TestAffine:
     def test_rejects_slope_not_finite_and_positive(self, alpha):
         with pytest.raises(ValueError, match="leaky slope"):
             affine(Tensor([[1.0, -1.0]]), Tensor(np.eye(2)), Tensor([0.0, 0.0]), alpha)
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.5, 1.0, 1.5, 3.0])
+    def test_leaky_is_bitwise_the_where_form(self, alpha):
+        """Signed zeros, infinities, subnormals and Gaussians, as the np.where rule gives them."""
+        tiny = np.finfo(np.float64).smallest_subnormal
+        special = [0.0, -0.0, np.inf, -np.inf, tiny, -tiny, 3 * tiny, -3 * tiny,
+                   np.finfo(np.float64).smallest_normal * 0.75, -1e-310, 1e-310]
+        x = np.concatenate([special, np.random.default_rng(7).standard_normal(2000)])
+        want = np.where(x >= 0, x, alpha * x)
+        assert tensor_mod._leaky(x, alpha).tobytes() == want.tobytes()
 
     def test_counted_through_chokepoint(self):
         before = op_counter().dot_products
