@@ -10,13 +10,7 @@ mask (:mod:`localattn.attention`), the block-decomposed local kernel
 (:mod:`localattn.data`), and a CLI (``localattn``).
 """
 
-from .tensor import (
-    DegenerateRowError,
-    DimensionError,
-    OpCounter,
-    Tensor,
-    op_counter,
-)
+from .tensor import DegenerateRowError, DimensionError, Tensor
 from .autodiff import Graph, GraphContractError, Node, finite_diff_grad
 
 __version__ = "0.1.0"
@@ -25,8 +19,6 @@ __all__ = [
     "Tensor",
     "DimensionError",
     "DegenerateRowError",
-    "OpCounter",
-    "op_counter",
     "Graph",
     "GraphContractError",
     "Node",

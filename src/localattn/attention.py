@@ -119,7 +119,7 @@ def full_attention(
     return out
 
 
-# _full_attention weights rank-3 scores of more than this many elements (2 MB)
+# eager _full_attention weights rank-3 scores of more than this many elements (2 MB)
 # a chunk of at most this size of leading blocks at a time (one block at least);
 # the only chunk budget: softmax_lastdim normalizes each chunk in one pass
 _SCORE_CHUNK = 2**18
@@ -143,7 +143,7 @@ def _full_attention(ops, q, k, v, mask: Tensor | None = None, counters=None):
     Works over the last two axes, so rank-3 operands attend block by block
     (the banded kernel's blocks and its remainder slab both run here);
     ``mask`` is a ``softmax_lastdim`` mask. All scores come from one
-    ``matmul_batched``; rank-3 scores of more than ``_SCORE_CHUNK``
+    ``matmul_batched``; eager rank-3 scores of more than ``_SCORE_CHUNK``
     elements are then normalized and multiplied by v on ``rows`` slices of
     G = max(1, _SCORE_CHUNK // (rows * cols)) blocks at a time, joined by
     one ``concat_axis0``, so one chunk of weights (and, under a
@@ -153,13 +153,15 @@ def _full_attention(ops, q, k, v, mask: Tensor | None = None, counters=None):
     key slab copy is gone before the chunk loop and the scores and the
     joined output are never alive together. This is the attention core's
     only chunk loop: ``softmax_lastdim`` takes each chunk in one pass.
-    No chunk needs another's softmax state,
-    so the output is bitwise the one-chunk output, and smaller calls
-    (every rank-2 one) run the one-chunk op sequence. On the tape each chunk's ``rows`` VJP
-    zero-fills a scores-sized gradient; no workload records a call above
-    the budget. With ``counters`` the score tensor's size is recorded as
-    dot products and as live score elements until the value product is
-    done. Bitwise equal to :func:`full_attention`.
+    No chunk needs another's softmax state, so the output is bitwise the
+    one-chunk output. Every other call (every rank-2 one, and every call
+    on the tape, where ``ops.value`` unwraps a node) runs the one-chunk op
+    sequence: a tape keeps each chunk's weights for ``backward`` anyway,
+    so chunking there saves no memory, and each chunk's ``rows`` VJP would
+    zero-fill a scores-sized gradient, quadratic in n above the budget.
+    With ``counters`` the score tensor's size is recorded as dot products
+    and as live score elements until the value product is done. Bitwise
+    equal to :func:`full_attention`.
     """
     scores = ops.matmul_batched(q, ops.transpose_last2(k))
     del k  # eagerly, this frees the kernel's key slab copy
@@ -169,7 +171,7 @@ def _full_attention(ops, q, k, v, mask: Tensor | None = None, counters=None):
         counters.score_alloc(size)
     c = 1.0 / math.sqrt(ops.value(q).shape[-1])
     s, step = shape[0], max(1, _SCORE_CHUNK // (shape[-2] * shape[-1]))
-    if len(shape) == 2 or step >= s:
+    if len(shape) == 2 or step >= s or ops.value(scores) is not scores:
         out = ops.matmul_batched(ops.softmax_lastdim(scores, mask, c), v)
     else:
         spans = [(g0, min(g0 + step, s)) for g0 in range(0, s, step)]

@@ -38,13 +38,13 @@ The blocks and the slab both attend through
 :func:`localattn.attention._full_attention`, which also keeps the
 counters, and all heavy math goes through the ``ops`` backend, so the
 same kernel runs eagerly or on the autodiff tape. Above 2^18 block
-scores (2 MB) the core normalizes and weights them a chunk of blocks at
-a time, so a long call holds its scores and one chunk of weights, never
-the whole weights; every block's band lies inside its own slab, so no
-chunk needs another's softmax state and the output is bitwise the
-one-chunk output. Toy and n=720 calls stay within the budget and record
-the same tape; a recorded call above it adds ``rows`` nodes whose VJPs
-each zero-fill a scores-sized gradient.
+scores (2 MB) an eager call normalizes and weights them a chunk of blocks
+at a time, so it holds its scores and one chunk of weights, never the
+whole weights; every block's band lies inside its own slab, so no chunk
+needs another's softmax state and the output is bitwise the one-chunk
+output. A recorded call takes the one-chunk sequence at every size: the
+tape keeps all weights for ``backward`` anyway, and per-chunk ``rows``
+VJPs would each zero-fill a scores-sized gradient.
 """
 
 from __future__ import annotations

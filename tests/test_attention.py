@@ -24,6 +24,7 @@ from localattn import tensor
 from localattn.autodiff import Graph
 from localattn.lam import LamCounters, local_mask
 from localattn.tensor import BandMask, DimensionError, Tensor
+from localattn.verify import _PreActProbe
 
 NEG_INF = float("-inf")
 
@@ -113,7 +114,7 @@ class TestFullAttention:
 
 
 class TestChunkedCore:
-    """Rank-3 scores above the budget attend a chunk of blocks at a time, bitwise as one chunk."""
+    """Eager rank-3 scores above the budget attend a chunk of blocks at a time, bitwise as one."""
 
     @staticmethod
     def draw_mask(data, rng, s, window):
@@ -147,15 +148,18 @@ class TestChunkedCore:
         want = _full_attention(tensor, q, k, v, mask, whole).data
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(attention, "_SCORE_CHUNK", budget)
-            got = _full_attention(tensor, q, k, v, mask, counted).data
+            probe = _PreActProbe()  # the eager backend, recording each softmax call
+            got = _full_attention(probe, q, k, v, mask, counted).data
             g = Graph()
             node = _full_attention(g, g.parameter(q), g.parameter(k), g.parameter(v), mask)
         assert got.tobytes() == want.tobytes()
         assert g.value(node).data.tobytes() == want.tobytes()
         assert (counted.dot_products, counted.peak_score_elements) == (whole.dot_products,
                                                                        whole.peak_score_elements)
-        assert sum(n.op == "matmul_batched" for n in g.nodes) == 1 + chunks  # one score product
-        assert sum(n.op == "concat_axis0" for n in g.nodes) == (chunks > 1)
+        assert len(probe.softmaxes) == chunks  # eagerly, one softmax per chunk
+        # the tape keeps every chunk's weights anyway, so it records the one-chunk sequence
+        assert [n.op for n in g.nodes if n.op not in ("parameter", "constant")] == [
+            "transpose_last2", "matmul_batched", "softmax_lastdim", "matmul_batched"]
 
     def test_rank2_scores_are_never_split(self, monkeypatch):
         monkeypatch.setattr(attention, "_SCORE_CHUNK", 1)

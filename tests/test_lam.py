@@ -1,5 +1,6 @@
 """Blocked banded attention: block layout, mask, kernel, counters."""
 
+import time
 import tracemalloc
 
 import numpy as np
@@ -482,7 +483,8 @@ class TestChunkedKernel:
 
         g = Graph()
         build(g, g.parameter(qkv[wrt]))
-        assert sum(node.op == "softmax_lastdim" for node in g.nodes) == 3  # two chunks, one slab
+        # the eager call splits the blocks into two chunks; the tape records one, then the slab
+        assert sum(node.op == "softmax_lastdim" for node in g.nodes) == 2
         assert _check_op(qkv[wrt], build) <= _TOL_GRAD
 
     def test_long_call_never_holds_the_whole_weights(self):
@@ -521,6 +523,68 @@ class TestChunkedKernel:
         # next to the scores: the value slab, the chunk outputs and one chunk's
         # buffers; the key slab or the joined output there would each add n * d * 8
         assert peak <= scores + slab + outputs + 2 * chunk
+
+
+def taped_call(n, d, seed):
+    """Seconds to record one default-window kernel call and an mse loss, and to run backward."""
+    q, k, v = random_qkv(np.random.default_rng(seed), n, d, d)
+    t0 = time.perf_counter()
+    g = Graph()
+    loss = g.mse(_lam_attention(g, g.parameter(q), g.parameter(k), g.parameter(v),
+                                default_window(n)), Tensor.zeros((n, d)))
+    t1 = time.perf_counter()
+    g.backward(loss)
+    return t1 - t0, time.perf_counter() - t1
+
+
+class TestTapedKernel:
+    """A recorded call records the one-chunk sequence at every size, so it stays linear."""
+
+    def test_call_above_the_budget_records_one_chunk(self):
+        n, window = 2**16, 64  # 1024 blocks of 64 x 127 scores, about 32 chunk budgets
+        assert default_window(n) == window
+        assert score_counts(n, window)[1] > 31 * attention._SCORE_CHUNK
+        q, k, v = random_qkv(np.random.default_rng(35), n, 1, 1)
+        g = Graph()
+        _lam_attention(g, g.parameter(q), g.parameter(k), g.parameter(v), window)
+        assert [node.op for node in g.nodes[3:]] == [
+            "row_blocks", "row_blocks", "row_blocks", "transpose_last2", "matmul_batched",
+            "softmax_lastdim", "matmul_batched", "reshape"]
+
+    def test_recorded_call_holds_scores_weights_and_their_gradients(self):
+        n, d = 2**14, 8
+        assert default_window(n) == 56
+        q, k, v = random_qkv(np.random.default_rng(34), n, d, d)
+        tracemalloc.start()
+        try:
+            g = Graph()
+            out = _lam_attention(g, g.parameter(q), g.parameter(k), g.parameter(v), 56)
+            g.backward(g.mse(out, Tensor.zeros((n, d))))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        scores = score_counts(n, 56)[1] * 8
+        operand = n * d * 8
+        # the tape holds the scores and the weights, and backward adds the
+        # gradient of each: 4 scores. The rest is operand-sized: the forward's
+        # key and value slab copies, block output and join (4); the loss
+        # gradient (1); the trailing slab's three zero-filled rows gradients
+        # (3); the query block gradient (1) and the key and value slab
+        # gradients (2 each); the row_blocks VJPs' scatter buffers and owned
+        # sums (about 4). A tape chunked by rows slices would add one
+        # zero-filled scores-sized gradient per chunk.
+        assert peak <= 4 * scores + 20 * operand < 6 * scores
+
+    @pytest.mark.slow
+    def test_record_and_backward_stay_linear(self):
+        sizes = [2**13, 2**14, 2**15, 2**16]
+        # each pass times every size, so a slow spell hits all of them; the first warms up
+        runs = [[taped_call(n, 8, seed) for n in sizes] for seed in range(6)][1:]
+        medians = np.median(runs, axis=0)  # (size, record or backward)
+        record, backward = medians[-1]
+        slope = float(np.polyfit(np.log(sizes), np.log(medians.sum(axis=1)), 1)[0])
+        assert backward <= 3 * record, f"backward {backward:.3f}s vs record {record:.3f}s"
+        assert slope <= 1.35, f"record + backward slope {slope:.3f}"
 
 
 class TestScoreCounts:
