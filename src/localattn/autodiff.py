@@ -8,9 +8,9 @@ one row of :data:`VJPS`; a recorder built for the row's arity (one node
 input, two, a ``SEQUENCE`` of nodes, or any other count) makes every row
 a ``Graph`` method that looks up the eager ``tensor`` function of that
 name at each call, runs it and stores its output and static arguments.
-Backward walks the tape (topological by construction) in reverse,
-fetching each input node once and reading each VJP rule from the table
-when it runs, accumulating vector-Jacobian products.
+Each record holds its input nodes themselves. Backward walks the tape
+(topological by construction) in reverse, reading each VJP rule from the
+table when it runs, accumulating vector-Jacobian products.
 
 Masked ``softmax_lastdim`` entries (-inf inputs) are structural zeros:
 their output is exactly 0 and no gradient flows through them, which is
@@ -38,11 +38,11 @@ class GraphContractError(ValueError):
 
 
 class Node:
-    """One tape record: op kind, input node ids, forward value, static args; VJP ``VJPS[op]``."""
+    """One tape record: op kind, input nodes, forward value, static args; VJP ``VJPS[op]``."""
 
     __slots__ = ("id", "op", "inputs", "value", "grad", "static")
 
-    def __init__(self, id: int, op: str, inputs: tuple[int, ...], value: Tensor, static=()):
+    def __init__(self, id: int, op: str, inputs: tuple[Node, ...], value: Tensor, static=()):
         self.id = id
         self.op = op
         self.inputs = inputs
@@ -145,7 +145,7 @@ class Graph:
     def __init__(self):
         self.nodes: list[Node] = []
 
-    def _append(self, op: str, inputs: tuple[int, ...], value: Tensor, static=()) -> Node:
+    def _append(self, op: str, inputs: tuple[Node, ...], value: Tensor, static=()) -> Node:
         nodes = self.nodes
         node = Node(len(nodes), op, inputs, value, static)
         nodes.append(node)
@@ -169,9 +169,9 @@ class Graph:
 
         Returns a map from parameter node id to its gradient tensor. A
         node's first VJP contribution is kept as it is, not copied, so it
-        may share memory with another node's gradient; only a second
-        contribution makes an owned sum, and only owned sums are added to
-        in place, so no stored gradient is ever written through.
+        may share memory with another node's gradient; each later
+        contribution makes a new sum, and nothing is added in place, so no
+        stored gradient is ever written through.
         """
         if loss.value.ndim != 0 and loss.value.size != 1:
             raise GraphContractError(
@@ -180,37 +180,15 @@ class Graph:
         for node in self.nodes:
             node.grad = None
         loss.grad = np.ones_like(loss.value.data)
-        owned = set()
-        nodes = self.nodes
-        for node in reversed(nodes[: loss.id + 1]):
+        for node in reversed(self.nodes[: loss.id + 1]):
             if node.grad is None or (row := VJPS.get(node.op)) is None:
                 continue
-            rule, ids = row[1], node.inputs
-            if len(ids) == 1:  # most nodes: fetch the one input node once, no pairing
-                src = nodes[ids[0]]
-                g = rule(node.grad, node.value.data, (src.value.data,), *node.static)[0]
-                if src.op == "constant":
-                    continue
-                if src.grad is None:
-                    src.grad = g
-                elif src.id in owned:
-                    src.grad += g
-                else:
-                    src.grad = src.grad + g
-                    owned.add(src.id)
-                continue
-            srcs = [nodes[i] for i in ids]
-            vjps = rule(node.grad, node.value.data, [s.value.data for s in srcs], *node.static)
-            for src, g in zip(srcs, vjps):  # the same rule as above, per input
-                if src.op == "constant":
-                    continue
-                if src.grad is None:
-                    src.grad = g
-                elif src.id in owned:
-                    src.grad += g
-                else:
-                    src.grad = src.grad + g
-                    owned.add(src.id)
+            srcs = node.inputs
+            # a 1-tuple for the common one-input node: cheaper than the list
+            arrays = (srcs[0].value.data,) if len(srcs) == 1 else [s.value.data for s in srcs]
+            for src, g in zip(srcs, row[1](node.grad, node.value.data, arrays, *node.static)):
+                if src.op != "constant":
+                    src.grad = g if src.grad is None else src.grad + g
         return {
             n.id: Tensor._wrap(n.grad if n.grad is not None else np.zeros_like(n.value.data))
             for n in self.nodes
@@ -228,21 +206,21 @@ def _recorder(name: str, arity: int | str) -> Callable[..., Node]:
     """
     if arity == 1:
         def record(self: Graph, a: Node, *static) -> Node:
-            return self._append(name, (a.id,), getattr(T, name)(a.value, *static), static)
+            return self._append(name, (a,), getattr(T, name)(a.value, *static), static)
     elif arity == 2:
         def record(self: Graph, a: Node, b: Node, *static) -> Node:
             out = getattr(T, name)(a.value, b.value, *static)
-            return self._append(name, (a.id, b.id), out, static)
+            return self._append(name, (a, b), out, static)
     elif arity is SEQUENCE:
         def record(self: Graph, parts, *static) -> Node:
             parts = tuple(parts)  # any iterable of nodes, read once
             out = getattr(T, name)([n.value for n in parts], *static)
-            return self._append(name, tuple([n.id for n in parts]), out, static)
+            return self._append(name, parts, out, static)
     else:
         def record(self: Graph, *args) -> Node:
             nodes, static = args[:arity], args[arity:]
             out = getattr(T, name)(*[n.value for n in nodes], *static)
-            return self._append(name, tuple([n.id for n in nodes]), out, static)
+            return self._append(name, nodes, out, static)
 
     record.__name__, record.__qualname__ = name, f"Graph.{name}"
     record.__doc__ = f"``tensor.{name}`` on the nodes' values, recorded for its VJP."

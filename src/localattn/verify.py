@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import _multi_head, _resolve_inner, band_mask, full_attention
+from .attention import _full_attention, _multi_head, _resolve_inner, band_mask, full_attention
 from .attention import masked_full_attention_oracle, permute_rows
 from .autodiff import VJPS, Graph, finite_diff_grad
 from .lam import LamCounters, _lam_attention, score_counts
@@ -199,8 +199,7 @@ def suite_masking(trials: int = 25, seed: int = 0) -> SuiteResult:
         k = Tensor._wrap(rng.normal(size=(n, d_q)))
 
         probe = _PreActProbe()
-        scores = tensor.matmul_batched(q, tensor.transpose_last2(k))
-        probe.softmax_lastdim(scores, band_mask(n, window), 1.0 / math.sqrt(d_q))
+        _full_attention(probe, q, k, q, band_mask(n, window))
         _lam_attention(probe, q, k, q, window)  # the weights do not depend on v
         recorded += len(probe.softmaxes)
         short += len(probe.softmaxes) < 2 + (n % window > 0)  # n x n, blocks, trailing slab
@@ -279,7 +278,7 @@ def _op_cases(rng):
     """Op name -> its (label, x, build) cases; build maps a graph and the node of x to a node.
 
     Every :data:`~localattn.autodiff.VJPS` op has an entry (``suite_gradients``
-    fails otherwise); ``attention`` chains several of them.
+    fails otherwise); ``attention`` runs the attention core, which chains several.
     """
     a3 = Tensor._wrap(rng.normal(size=(2, 3, 4)))
     b3 = Tensor._wrap(rng.normal(size=(2, 4, 2)))
@@ -303,11 +302,6 @@ def _op_cases(rng):
     target = Tensor._wrap(rng.normal(size=(3, 4)))
     blocks_src = Tensor._wrap(rng.normal(size=(4, 2, 3)))  # drawn last: the cases above keep theirs
     blocks_tail = Tensor._wrap(rng.normal(size=(2, 2, 3)))
-
-    def attend(g, q):  # softmax(q k^T / sqrt(d)) v, gradients through q
-        scores = g.matmul_batched(q, g.transpose_last2(g.constant(keys)))
-        weights = g.softmax_lastdim(scores, None, 1.0 / math.sqrt(3.0))
-        return g.matmul_batched(weights, g.constant(values))
 
     return {
         "matmul_batched": [
@@ -358,7 +352,13 @@ def _op_cases(rng):
         ],
         "reshape": [("reshape", m34, lambda g, x: g.reshape(x, (2, 2, 3)))],
         "mse": [("mse", m34, lambda g, x: g.mse(x, target))],
-        "attention": [("attention-chain", queries, attend)],
+        "attention": [
+            (
+                "attention-chain",
+                queries,
+                lambda g, x: _full_attention(g, x, g.constant(keys), g.constant(values)),
+            ),
+        ],
     }
 
 

@@ -186,7 +186,7 @@ class TestBackwardExamples:
                     if node.op not in VJPS:
                         continue
                     seen.add(node.op)
-                    args = [g.nodes[i].value for i in node.inputs]
+                    args = [src.value for src in node.inputs]
                     if VJPS[node.op][0] is SEQUENCE:
                         args = [args]
                     eager = getattr(tensor, node.op)(*args, *node.static).data
@@ -194,6 +194,17 @@ class TestBackwardExamples:
                     assert got.shape == eager.shape, label
                     assert got.tobytes() == eager.tobytes(), f"{label}: {node.op}"
         assert seen == set(VJPS)
+
+    def test_inputs_are_nodes_recorded_earlier_on_the_same_tape(self):
+        """The order the reverse walk relies on, on the toy lam window tape."""
+        net = ForecastModel(ModelConfig(d_features=3, n=96, m=24, kind="lam", seed=4))
+        g = Graph()
+        out, _ = net.forward_graph(g, Tensor(np.random.default_rng(12).standard_normal((96, 3))))
+        g.mse(out, Tensor.zeros((24, 3)))
+        assert sum(len(node.inputs) for node in g.nodes) > len(g.nodes)
+        for node in g.nodes:
+            earlier = g.nodes[: node.id]
+            assert all(any(src is n for n in earlier) for src in node.inputs), (node.id, node.op)
 
 
 class TestPerOpGradients:
@@ -261,15 +272,15 @@ def reference_backward(graph, loss):
     for node in reversed(graph.nodes[: loss.id + 1]):
         if node.id not in grads or node.op not in VJPS:
             continue
-        arrays = [graph.nodes[i].value.data for i in node.inputs]
+        arrays = [src.value.data for src in node.inputs]
         vjps = VJPS[node.op][1](grads[node.id], node.value.data, arrays, *node.static)
-        for input_id, g in zip(node.inputs, vjps):
-            if graph.nodes[input_id].op == "constant":
+        for src, g in zip(node.inputs, vjps):
+            if src.op == "constant":
                 continue
-            if input_id in grads:
-                grads[input_id] += g
+            if src.id in grads:
+                grads[src.id] += g
             else:
-                grads[input_id] = np.array(g)
+                grads[src.id] = np.array(g)
     return grads
 
 

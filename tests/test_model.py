@@ -305,7 +305,7 @@ class TestParameterLayout:
         g.mse(out, Tensor.zeros((24, 3)))
         flips = [node for node in g.nodes if node.op == "transpose_last2"]
         assert len(g.nodes) == nodes and len(flips) == transposes
-        assert all(g.nodes[node.inputs[0]].op != "parameter" for node in flips)
+        assert all(node.inputs[0].op != "parameter" for node in flips)
 
     def test_layout_kept_through_train_and_checkpoint(self, tmp_path):
         model = ForecastModel(tiny_config())
