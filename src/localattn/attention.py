@@ -219,24 +219,6 @@ def _multi_head(ops, q, k, v, head_ws, w_out, inner):
     return ops.matmul_batched(merged, w_out)
 
 
-def _resolve_inner(kind: str, window: int | None, seed: int):
-    """The attention callable (ops, q, k, v) -> out of one model kind, full or lam.
-
-    ``seed`` is unused by both kinds; the signature stays (kind, window,
-    seed) because the benchmark's tracer wraps this function by name and
-    calls it with three positional arguments.
-    """
-    if kind == "full":
-        return lambda ops, q, k, v: _full_attention(ops, q, k, v)
-    if kind == "lam":
-        if window is None:
-            raise ValueError("kind 'lam' needs a window")
-        from .lam import _lam_attention
-
-        return lambda ops, q, k, v: _lam_attention(ops, q, k, v, window)
-    raise ValueError(f"unknown attention kind {kind!r}; expected full or lam")
-
-
 def band_mass(q: Tensor, k: Tensor, bands: Sequence[int]) -> list[float]:
     """Per band L, the row mean of the unmasked softmax weight on columns i-L+1 .. i.
 

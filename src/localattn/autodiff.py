@@ -8,9 +8,10 @@ one row of :data:`VJPS`; a recorder built for the row's arity (one node
 input, two, a ``SEQUENCE`` of nodes, or any other count) makes every row
 a ``Graph`` method that looks up the eager ``tensor`` function of that
 name at each call, runs it and stores its output and static arguments.
-Each record holds its input nodes themselves. Backward walks the tape
-(topological by construction) in reverse, reading each VJP rule from the
-table when it runs, accumulating vector-Jacobian products.
+Each record holds its input nodes themselves, and no gradient. Backward
+walks the tape (topological by construction) in reverse, reading each VJP
+rule from the table when it runs; it sums vector-Jacobian products in one
+local map keyed by node id and drops a node's gradient once its VJP runs.
 
 Masked ``softmax_lastdim`` entries (-inf inputs) are structural zeros:
 their output is exactly 0 and no gradient flows through them, which is
@@ -38,16 +39,18 @@ class GraphContractError(ValueError):
 
 
 class Node:
-    """One tape record: op kind, input nodes, forward value, static args; VJP ``VJPS[op]``."""
+    """One tape record: op kind, input nodes, forward value, static args; VJP ``VJPS[op]``.
 
-    __slots__ = ("id", "op", "inputs", "value", "grad", "static")
+    It holds no gradient: :meth:`Graph.backward` keeps those in a local map.
+    """
+
+    __slots__ = ("id", "op", "inputs", "value", "static")
 
     def __init__(self, id: int, op: str, inputs: tuple[Node, ...], value: Tensor, static=()):
         self.id = id
         self.op = op
         self.inputs = inputs
         self.value = value
-        self.grad: np.ndarray | None = None
         self.static = static
 
     @property
@@ -165,32 +168,31 @@ class Graph:
     # -- reverse pass ------------------------------------------------------
 
     def backward(self, loss: Node) -> dict[int, Tensor]:
-        """Gradients of a scalar loss w.r.t. every parameter node.
+        """Gradients of a scalar loss on this tape w.r.t. every parameter node.
 
-        Returns a map from parameter node id to its gradient tensor. A
-        node's first VJP contribution is kept as it is, not copied, so it
-        may share memory with another node's gradient; each later
-        contribution makes a new sum, and nothing is added in place, so no
-        stored gradient is ever written through.
+        Returns a map from parameter node id to its gradient tensor. Each
+        node's gradient is popped from one local map just before its VJP
+        runs. A first contribution is kept as it is, not copied; each later
+        one makes a new sum, so no gradient is ever written through.
         """
+        if loss.id >= len(self.nodes) or self.nodes[loss.id] is not loss:
+            raise GraphContractError(f"loss {loss!r} was not recorded on this tape")
         if loss.value.ndim != 0 and loss.value.size != 1:
-            raise GraphContractError(
-                f"loss must be scalar, got shape {loss.value.shape}"
-            )
-        for node in self.nodes:
-            node.grad = None
-        loss.grad = np.ones_like(loss.value.data)
+            raise GraphContractError(f"loss must be scalar, got shape {loss.value.shape}")
+        grads = {loss.id: np.ones_like(loss.value.data)}
         for node in reversed(self.nodes[: loss.id + 1]):
-            if node.grad is None or (row := VJPS.get(node.op)) is None:
+            if node.id not in grads or (row := VJPS.get(node.op)) is None:
                 continue
             srcs = node.inputs
             # a 1-tuple for the common one-input node: cheaper than the list
             arrays = (srcs[0].value.data,) if len(srcs) == 1 else [s.value.data for s in srcs]
-            for src, g in zip(srcs, row[1](node.grad, node.value.data, arrays, *node.static)):
+            g_out = grads.pop(node.id)  # no later step reads it: freed as the walk goes
+            for src, g in zip(srcs, row[1](g_out, node.value.data, arrays, *node.static)):
                 if src.op != "constant":
-                    src.grad = g if src.grad is None else src.grad + g
+                    prev = grads.get(src.id)
+                    grads[src.id] = g if prev is None else prev + g
         return {
-            n.id: Tensor._wrap(n.grad if n.grad is not None else np.zeros_like(n.value.data))
+            n.id: Tensor._wrap(grads[n.id] if n.id in grads else np.zeros_like(n.value.data))
             for n in self.nodes
             if n.op == "parameter"
         }

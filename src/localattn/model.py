@@ -35,10 +35,10 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .attention import _check_window, _multi_head, _resolve_inner
+from .attention import _check_window, _full_attention, _multi_head
 from .autodiff import Graph, Node
 from .data import Scaler, WindowedDataset, mae, mean_errors
-from .lam import default_window
+from .lam import _lam_attention, default_window
 from . import tensor
 from .tensor import DimensionError, Tensor
 
@@ -126,6 +126,22 @@ class ModelConfig:
     def d_head(self) -> int:
         """Width of one attention head."""
         return self.d_model // self.heads
+
+
+def _resolve_inner(kind: str, window: int | None, seed: int):
+    """The attention callable (ops, q, k, v) -> out of one model kind, full or lam.
+
+    ``seed`` is unused by both kinds; the signature stays (kind, window,
+    seed) because the benchmark's tracer wraps this function by name and
+    calls it with three positional arguments.
+    """
+    if kind == "full":
+        return lambda ops, q, k, v: _full_attention(ops, q, k, v)
+    if kind == "lam":
+        if window is None:
+            raise ValueError("kind 'lam' needs a window")
+        return lambda ops, q, k, v: _lam_attention(ops, q, k, v, window)
+    raise ValueError(f"unknown attention kind {kind!r}; expected full or lam")
 
 
 class ForecastModel:

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import _full_attention, _multi_head, _resolve_inner, band_mask, full_attention
+from .attention import _full_attention, _multi_head, band_mask, full_attention
 from .attention import masked_full_attention_oracle, permute_rows
 from .autodiff import VJPS, Graph, finite_diff_grad
 from .lam import LamCounters, _lam_attention, score_counts
-from .model import ForecastModel, ModelConfig
+from .model import ForecastModel, ModelConfig, _resolve_inner
 from . import tensor
 from .tensor import Tensor
 

@@ -11,7 +11,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 import localattn.attention as attention
 from localattn.attention import (
     _multi_head,
-    _resolve_inner,
     band_mask,
     band_mass,
     full_attention,
@@ -23,6 +22,7 @@ from localattn.attention import (
 from localattn import tensor
 from localattn.autodiff import Graph
 from localattn.lam import LamCounters, local_mask
+from localattn.model import _resolve_inner
 from localattn.tensor import BandMask, DimensionError, Tensor
 from localattn.verify import _PreActProbe
 

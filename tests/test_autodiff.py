@@ -6,6 +6,8 @@ and harness: h = 1e-5 in 64-bit, relative error
 max|g_a - g_f| / max(1, max|g_f|) <= 1e-6.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -94,6 +96,22 @@ class TestBackwardExamples:
         x = g.parameter(Tensor([[1.0, 2.0]]))
         with pytest.raises(GraphContractError):
             g.backward(g.softmax_lastdim(x, None, 1.0))
+
+    def test_loss_from_another_tape_rejected(self):
+        """Whether the foreign loss's id falls inside this tape or past its end."""
+        tapes, losses = [], []
+        for depth in (1, 4):
+            g = Graph()
+            x = g.parameter(Tensor([1.0, 2.0, 3.0]))
+            for _ in range(depth):
+                x = g.add(x, x)
+            tapes.append(g)
+            losses.append(g.mse(x, Tensor(np.zeros(3))))
+        short, long_ = tapes
+        assert losses[0].id < len(long_.nodes) and losses[1].id >= len(short.nodes)
+        for tape, foreign in ((long_, losses[0]), (short, losses[1])):
+            with pytest.raises(GraphContractError, match="not recorded on this tape"):
+                tape.backward(foreign)
 
     def test_parameter_off_the_loss_path_gets_zero(self):
         g = Graph()
@@ -285,26 +303,56 @@ def reference_backward(graph, loss):
 
 
 def watch_vjps(monkeypatch):
-    """Wrap every VJP rule in the table to keep (array, copy) of its incoming and outgoing gradients.
+    """Wrap every VJP rule in the table to keep what each of its calls saw.
 
-    The incoming gradient is copied before the rule runs, so a rule that
-    writes into it is caught as well.
+    Returns (seen, incoming). ``seen`` holds (array, copy) of every
+    incoming and outgoing gradient; the incoming one is copied before the
+    rule runs, so a rule that writes into it is caught as well.
+    ``incoming`` holds (out, g) per call: the node's forward output and
+    the gradient it received.
     """
-    seen = []
+    seen, incoming = [], []
 
     def wrap(rule):
-        def watched(g, *saved):
+        def watched(g, out, *saved):
             before = np.array(g)
-            outs = rule(g, *saved)
+            outs = rule(g, out, *saved)
             seen.append((g, before))
             seen.extend((a, np.array(a)) for a in outs)
+            incoming.append((out, g))
             return outs
 
         return watched
 
     for op, (arity, rule) in VJPS.items():
         monkeypatch.setitem(VJPS, op, (arity, wrap(rule)))
-    return seen
+    return seen, incoming
+
+
+def gradients_seen(graph, grads, incoming):
+    """Every non-constant node's gradient, as ``backward`` used or returned it.
+
+    A parameter's comes from ``backward``'s return value ``grads``; any
+    other node's is the incoming g of its own VJP call, found by
+    ``out is node.value.data`` (one forward output per recorded op).
+    """
+    got = {}
+    for node in graph.nodes:
+        if node.op == "parameter":
+            got[node.id] = grads[node.id].data
+        elif node.op != "constant":
+            (got[node.id],) = [g for out, g in incoming if out is node.value.data]
+    return got
+
+
+def model_tape(kind, n=96, m=24):
+    """The seeded forecaster's tape for one window (n, m) and its MSE loss node."""
+    net = ForecastModel(ModelConfig(d_features=3, n=n, m=m, kind=kind, seed=4))
+    rng = np.random.default_rng(12)
+    x, y = Tensor(rng.standard_normal((n, 3))), Tensor(rng.standard_normal((m, 3)))
+    g = Graph()
+    out, _ = net.forward_graph(g, x)
+    return g, g.mse(out, y)
 
 
 def build_self_add(g, x):
@@ -355,7 +403,7 @@ class TestGradientOwnership:
     @pytest.mark.parametrize("build", [build_self_add, build_diamond, build_shared_transpose])
     def test_no_saved_gradient_changes_later(self, build, monkeypatch):
         g, _, loss = self.loss(build, self.X)
-        seen = watch_vjps(monkeypatch)
+        seen, _ = watch_vjps(monkeypatch)
         g.backward(loss)
         assert seen
         for arr, snapshot in seen:
@@ -366,27 +414,41 @@ class TestGradientOwnership:
         self, kind, monkeypatch
     ):
         """Every op the toy model records, the in-place softmax VJP included."""
-        net = ForecastModel(ModelConfig(d_features=3, n=96, m=24, kind=kind, seed=4))
-        rng = np.random.default_rng(12)
-        x, y = Tensor(rng.standard_normal((96, 3))), Tensor(rng.standard_normal((24, 3)))
-        g = Graph()
-        out, _ = net.forward_graph(g, x)
-        loss = g.mse(out, y)
-        seen = watch_vjps(monkeypatch)
-        g.backward(loss)
+        g, loss = model_tape(kind)
+        seen, incoming = watch_vjps(monkeypatch)
+        got = gradients_seen(g, g.backward(loss), incoming)
         assert "softmax_lastdim" in {node.op for node in g.nodes}
         for arr, snapshot in seen:
             assert arr.tobytes() == snapshot.tobytes()
         want = reference_backward(g, loss)
+        assert got.keys() == want.keys()
         for node in g.nodes:
             if node.op != "constant":
-                assert node.grad.tobytes() == want[node.id].tobytes(), (node.id, node.op)
+                assert got[node.id].tobytes() == want[node.id].tobytes(), (node.id, node.op)
 
     @pytest.mark.parametrize("build", [build_self_add, build_diamond, build_shared_transpose])
-    def test_bitwise_equal_to_copying_every_first_term(self, build):
+    def test_bitwise_equal_to_copying_every_first_term(self, build, monkeypatch):
         g, _, loss = self.loss(build, self.X)
-        g.backward(loss)
+        _, incoming = watch_vjps(monkeypatch)
+        got = gradients_seen(g, g.backward(loss), incoming)
         want = reference_backward(g, loss)
+        assert got.keys() == want.keys()
         for node in g.nodes:
             if node.op != "constant":
-                assert_array_equal(node.grad, want[node.id])
+                assert_array_equal(got[node.id], want[node.id])
+
+    def test_backward_frees_each_gradient_once_its_vjp_has_run(self):
+        """The n=720 full tape: a bounded number of 720x720 score-sized arrays alive at once.
+
+        Keeping every interior gradient until the end held about 24.6
+        score matrices at the peak; dropping each once consumed, about 2.2.
+        """
+        g, loss = model_tape("full", n=720, m=96)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            g.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 720 * 720 * 8, peak / (720 * 720 * 8)
