@@ -77,6 +77,7 @@ CONFIG_RANGES = {
     "lr": (lambda x: math.isfinite(x) and x > 0, "finite and > 0"),
     "epochs": (lambda x: x >= 0, ">= 0"),
     "batch": (lambda x: x >= 1, ">= 1"),
+    "seed": (lambda x: x >= 0, ">= 0"),
 }
 
 # what ModelConfig leaves required (n, m) and the seed the synthetic series
@@ -529,6 +530,17 @@ def _parse_int_list(text: str, flag: str):
     return values
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: numpy seeds its generators from non-negative integers only."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="localattn",
@@ -538,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the self-verification suites")
     p.add_argument("--trials", type=int, default=200, help="randomized case count (>= 1)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument(
         "--inject-fault",
         choices=["pad-guard"],
@@ -557,7 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--repeats", type=int, default=5, help="timing repetitions (>= 5)")
     p.add_argument("--d-model", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None, help="CSV path (stdout when omitted)")
     p.set_defaults(func=cmd_bench)
 
@@ -567,14 +579,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=20000, help="synthetic series length")
     p.add_argument("--d-features", type=int, default=3, help="synthetic feature count")
     p.add_argument("--stride", type=int, default=8, help="training window stride")
-    p.add_argument("--seed", type=int, default=None, help="overrides the config seed")
+    p.add_argument("--seed", type=_seed, default=None, help="overrides the config seed")
     p.add_argument("--out", default="train_out", help="output directory")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("bandmass", help="report attention mass inside trailing bands")
     p.add_argument("--checkpoint", required=True, help="model to inspect")
     p.add_argument("--l-list", default=None, help="band sizes; default: powers of two up to n")
-    p.add_argument("--seed", type=int, default=0, help="seed of the input sines series")
+    p.add_argument("--seed", type=_seed, default=0, help="seed of the input sines series")
     p.add_argument("--out", default=None, help="CSV path (stdout when omitted)")
     p.set_defaults(func=cmd_bandmass)
 

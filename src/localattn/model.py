@@ -105,6 +105,8 @@ class ModelConfig:
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))  # a numpy integer is not JSON
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.d_features < 1:
             raise ValueError(f"d_features must be >= 1, got {self.d_features}")
         if not self.n >= self.m >= 1:

@@ -498,6 +498,16 @@ class TestMainPlumbing:
             main(["paint"])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        "verify --seed -1", "bench --seed -12 --n-list 8,16", "train --seed -1",
+        "bandmass --checkpoint m.npz --seed -1",
+    ])
+    def test_negative_seed_is_a_usage_error_naming_the_seed(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv.split())
+        assert info.value.code == 2
+        assert "argument --seed: seed must be >= 0, got -" in capsys.readouterr().err
+
     def test_degenerate_row_is_a_run_failure_exit_1(self, capsys, monkeypatch):
         def degenerate(**kwargs):
             raise DegenerateRowError("softmax row with no finite entry cannot be normalized")
@@ -542,7 +552,7 @@ class TestMainPlumbing:
 
     @pytest.mark.parametrize("case", [
         "data-is-a-directory", "input-is-a-directory", "non-utf8-csv", "oversized-csv-field",
-        "blank-first-csv-row", "lr=nan", "lr=0", "epochs=-1", "batch=0", "h=0",
+        "blank-first-csv-row", "lr=nan", "lr=0", "epochs=-1", "batch=0", "seed=-1", "h=0",
         "bandmass-heads=0", "forecast-header", "forecast-non-finite", "forecast-far-cell",
         "forecast-overflowing-checkpoint", "forecast-window=8.0", "no-validation-windows",
         "repeated-config-key", "train-overflowing-feature", "out-bandmass", "out-bench", "out-forecast", "out-train-file", "out-train-too-long",

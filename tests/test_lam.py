@@ -431,24 +431,46 @@ class TestBandPath:
             assert np.max(np.abs(out[lo:hi] - want)) <= 1e-10
 
 
-@pytest.mark.parametrize("mutant", ["stale-hook-name", "kernel-bypasses-probe"])
-def test_masking_suite_fails_when_weights_go_unrecorded(monkeypatch, mutant):
-    """A case that records fewer weight tensors than its softmax calls fails the suite.
+class TestMaskingSuite:
+    """The masking suite reads each kernel's weights off its output, whatever its layout."""
 
-    Under a stale hook name the probe's attribute fallback runs the plain op
-    and records nothing; a kernel run off the probe records only the n x n check.
-    """
-    if mutant == "stale-hook-name":
-        hook = verify._PreActProbe.softmax_lastdim
-        monkeypatch.delattr(verify._PreActProbe, "softmax_lastdim")
-        monkeypatch.setattr(verify._PreActProbe, "masked_softmax", hook, raising=False)
-    else:
-        monkeypatch.setattr(verify, "_lam_attention", lambda ops, *a: _lam_attention(tensor, *a))
-    result = suite_masking(5)
-    recorded = 0 if mutant == "stale-hook-name" else 5
-    assert not result.passed
-    assert f"5 cases, {recorded} weight tensors" in result.detail
-    assert "5 cases recorded fewer weight tensors than softmax calls" in result.detail
+    def test_fails_without_the_pad_guard(self, monkeypatch):
+        forward = verify.lam_forward
+        monkeypatch.setattr(verify, "lam_forward",
+                            lambda q, k, v, window: forward(q, k, v, window, pad_guard=False))
+        result = suite_masking(25)
+        assert not result.passed  # the zero key rows take weight the real rows lack
+        assert "worst |rowsum-1| = 9.896e-01" in result.detail
+
+    def test_fails_when_the_band_reaches_one_key_ahead(self, monkeypatch):
+        def wide_mask(blocks, window, pad_guard):  # keeps j1 <= i1 + window: query i sees key i+1
+            i1 = np.arange(window)[:, np.newaxis]
+            j1 = np.arange(2 * window - 1)[np.newaxis, :]
+            band = (i1 <= j1) & (j1 <= i1 + window)
+            kept = [band & (j1 >= window - 1), band][:blocks] if pad_guard else [band]
+            return Tensor(np.where(np.stack(kept), 0.0, NEG_INF), allow_neg_inf=True)  # not a BandMask
+
+        monkeypatch.setattr(lam, "_block_mask", wide_mask)
+        lam._remainder_mask.cache_clear()  # the trailing rows cut their mask from the mutant too
+        try:
+            result = suite_masking(25)
+        finally:
+            lam._remainder_mask.cache_clear()
+        assert not result.passed
+        assert "nonzero masked slots = 740" in result.detail
+
+    def test_passes_a_kernel_that_pads_the_tail(self, monkeypatch):
+        """One core call over ceil(n/w)*w zero-padded rows, sliced back to n: a correct layout."""
+        kernel = lam._lam_attention
+
+        def padded_tail(ops, q, k, v, window, counters=None, pad_guard=True):
+            n = ops.value(q).shape[0]
+            pad = lambda t: Tensor._wrap(np.concatenate([t.data, np.zeros((-n % window, t.shape[1]))]))
+            return ops.rows(kernel(ops, pad(q), pad(k), pad(v), window, counters, pad_guard), 0, n)
+
+        monkeypatch.setattr(lam, "_lam_attention", padded_tail)
+        for suite in (suite_masking(25), suite_oracle_equivalence(40)):
+            assert suite.passed, suite.detail
 
 
 class TestChunkedKernel:

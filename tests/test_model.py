@@ -117,6 +117,10 @@ class TestModelConfig:
         with pytest.raises(ValueError):
             tiny_config(**overrides)
 
+    def test_rejects_a_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -3"):
+            tiny_config(seed=-3)
+
 
 def identity_model(n=5, d=3, num_layers=2):
     """All layers configured to pass a non-negative stream through unchanged.
